@@ -30,20 +30,32 @@ object Amc {
   }
 
   /** `η*` of Eq. (8): Hoeffding-derived maximum number of walk pairs. */
-  def etaStar(psi: Double, eps: Double, tau: Int, delta: Double): Long =
-    math.ceil(2.0 * psi * psi * math.log(2.0 * tau / delta) / (eps * eps)).toLong
+  def etaStar(psi: Double, eps: Double, tau: Int, delta: Double): Long = {
+    val raw = math.ceil(2.0 * psi * psi * math.log(2.0 * tau / delta) / (eps * eps))
+    require(raw < Long.MaxValue.toDouble,
+      s"eta* = $raw walk pairs does not fit a Long (psi=$psi eps=$eps tau=$tau delta=$delta)")
+    raw.toLong
+  }
 
   /** `h(ℓ_f)` — the worst-case number of walk pairs AMC performs over its
     * τ batches: `(2^τ − 1)·ceil(η* / 2^{τ−1}) < 2η*` (§3.3.2). GEER uses this
     * as the right-hand side of the greedy switch rule (Eq. 17).
     */
-  def h(psi: Double, eps: Double, tau: Int, delta: Double): Long = {
-    val etaS = etaStar(psi, eps, tau, delta)
-    val eta0 = ceilDiv(etaS, 1L << (tau - 1))
-    ((1L << tau) - 1L) * eta0
-  }
+  def h(psi: Double, eps: Double, tau: Int, delta: Double): Long =
+    ((1L << tau) - 1L) * firstBatch(etaStar(psi, eps, tau, delta), tau)
 
-  private def ceilDiv(a: Long, b: Long): Long = (a + b - 1) / b
+  /** `η₀ = ceil(η* / 2^{τ−1})`, the first of τ doubling batches. Fails
+    * unless the walks of all τ batches, `2·η₀·(2^τ − 1)`, fit a Long, so no
+    * batch size or walk count derived from it can wrap.
+    */
+  private def firstBatch(etaS: Long, tau: Int): Long = {
+    require(tau >= 1 && tau <= 62, s"tau out of range: $tau")
+    val b = 1L << (tau - 1)
+    val eta0 = etaS / b + (if (etaS % b == 0) 0L else 1L)
+    require(eta0 <= Long.MaxValue / (2L * ((1L << tau) - 1L)),
+      s"$tau doubling batches from $eta0 walk pairs overflow a Long walk count (eta*=$etaS)")
+    eta0
+  }
 
   /** The two largest values of a non-negative vector. */
   def topTwo(x: Array[Double]): (Double, Double) = {
@@ -66,7 +78,7 @@ object Amc {
     *                  standalone query; SMM's `s*`/`t*` inside GEER)
     * @param ellF      maximum walk length (`ℓ` standalone, `ℓ − ℓ_b` in GEER)
     * @param tau       number of doubling batches
-    * @param engine    walk fan-out engine (local or Spark path)
+    * @param engine    walk fan-out engine
     * @param seed      base randomness for this query
     */
   def estimate(g: CsrGraph, s: Int, t: Int,
@@ -79,8 +91,7 @@ object Amc {
     val dsInv = 1.0 / ds; val dtInv = 1.0 / dt
     val psiV = psi(sVec, tVec, ds, dt, ellF)
     if (psiV <= 0.0) return PerResult(0.0)
-    val etaS = etaStar(psiV, eps, tau, delta)
-    var eta = ceilDiv(etaS, 1L << (tau - 1))
+    val eta0 = firstBatch(etaStar(psiV, eps, tau, delta), tau)
 
     var z = 0.0
     var totalWalks = 0L
@@ -88,6 +99,7 @@ object Amc {
     var i = 1
     var done = false
     while (i <= tau && !done) {
+      val eta = eta0 << (i - 1)
       val batchSeed = repro.util.Rng.derive(seed, 0x5EEDL + i)
       val (sumZ, sumZ2) = engine.sumAndSumSq(eta, batchSeed, 2L * ellF) { (graph, rng) =>
         Walks.zSample(graph, s, t, ellF, rng, sVec, tVec, dsInv, dtInv)
@@ -97,7 +109,7 @@ object Amc {
       z = sumZ / eta
       val sigma2 = sumZ2 / eta - z * z
       if (bernstein(eta, sigma2, psiV, delta / tau) <= eps / 2.0) done = true
-      else { eta *= 2; i += 1 }
+      else i += 1
     }
     PerResult(z, walks = totalWalks, batches = batches)
   }

@@ -36,17 +36,7 @@ object Geer {
     ellBOverride match {
       case Some(forced) =>
         while (st.iters < math.min(forced, ell)) st.advance()
-      case None =>
-        var stop = false
-        while (!stop && st.iters < ell) {
-          st.advance()
-          if (st.iters < ell) {
-            val ellF = ell - st.iters
-            val psiV = Amc.psi(st.sStar, st.tStar, ds, dt, ellF)
-            val budget = if (psiV <= 0.0) 0L else Amc.h(psiV, eps, tau, delta)
-            stop = st.frontierCost > budget
-          }
-        }
+      case None => advanceGreedily(st, ell, eps, delta, tau)
     }
 
     val ellF = ell - st.iters
@@ -61,20 +51,27 @@ object Geer {
     */
   def switchPoint(g: CsrGraph, lambda: Double, s: Int, t: Int,
                   eps: Double, delta: Double, tau: Int): Int = {
-    val ds = g.degree(s); val dt = g.degree(t)
-    val ell = Ell.refined(eps, lambda, ds, dt)
+    val ell = Ell.refined(eps, lambda, g.degree(s), g.degree(t))
     val st = new Smm.State(g, s, t)
+    advanceGreedily(st, ell, eps, delta, tau)
+    st.iters
+  }
+
+  /** The greedy switch loop (Eq. 17): advance SMM while the next multiply
+    * costs no more than `h(ℓ − ℓ_b)`, with ψ from the current `s*`, `t*`;
+    * never beyond `ℓ` iterations.
+    */
+  private def advanceGreedily(st: Smm.State, ell: Int, eps: Double, delta: Double, tau: Int): Unit = {
+    val ds = st.g.degree(st.s); val dt = st.g.degree(st.t)
     var stop = false
     while (!stop && st.iters < ell) {
       st.advance()
       if (st.iters < ell) {
-        val ellF = ell - st.iters
-        val psiV = Amc.psi(st.sStar, st.tStar, ds, dt, ellF)
+        val psiV = Amc.psi(st.sStar, st.tStar, ds, dt, ell - st.iters)
         val budget = if (psiV <= 0.0) 0L else Amc.h(psiV, eps, tau, delta)
         stop = st.frontierCost > budget
       }
     }
-    st.iters
   }
 }
 

@@ -1,7 +1,6 @@
 package repro.core
 
-import org.apache.spark.sql.{DataFrame, SparkSession}
-import repro.graph.{CsrGraph, GraphOps}
+import repro.graph.CsrGraph
 
 /** SMM — deterministic graph traversal by sparse matrix–vector
   * multiplication (the paper's Algorithm 2).
@@ -123,47 +122,5 @@ object Smm {
       i += 1
     }
     st.rB
-  }
-
-  /** Distributed SMM over an edge DataFrame: each iteration is one Spark
-    * SQL join/aggregate per vector ([[GraphOps.spmvStep]]). Agrees with
-    * [[run]] (tested); used to demonstrate the dataflow form of the
-    * traversal — the driver only sees the four scalar probes per round.
-    */
-  def runDistributed(spark: SparkSession, edges: DataFrame, s: Int, t: Int, ellB: Int): Double = {
-    import org.apache.spark.sql.functions.col
-    if (s == t) return 0.0
-    val sym = GraphOps.symmetrize(edges).cache()
-    val trans = GraphOps.transitionEdges(sym).cache()
-    trans.count()
-    val degDf = GraphOps.degrees(sym).cache()
-    val n = degDf.agg(org.apache.spark.sql.functions.max(col("id"))).head().getInt(0) + 1
-    val deg = GraphOps.toDense(n, degDf.select(col("id"), col("degree").cast("double").as("value")))
-    val dsInv = 1.0 / deg(s)
-    val dtInv = 1.0 / deg(t)
-
-    def probe(x: DataFrame, v: Int): Double = {
-      val rows = x.where(col("id") === v).select(col("value").cast("double")).collect()
-      if (rows.isEmpty) 0.0 else rows(0).getDouble(0)
-    }
-
-    var sStar = GraphOps.oneHot(spark, s).cache()
-    var tStar = GraphOps.oneHot(spark, t).cache()
-    // i = 0 term (s != t): s*(s)/d(s) + t*(t)/d(t) − 0 − 0
-    var rB = dsInv + dtInv
-    var i = 0
-    while (i < ellB) {
-      // localCheckpoint truncates the lineage so Catalyst analysis cost
-      // stays constant per iteration (see Spectral.lambdaDistributed).
-      val newS = GraphOps.spmvStep(trans, sStar).localCheckpoint(true)
-      val newT = GraphOps.spmvStep(trans, tStar).localCheckpoint(true)
-      sStar.unpersist(); tStar.unpersist()
-      sStar = newS; tStar = newT
-      rB += probe(sStar, s) * dsInv + probe(tStar, t) * dtInv -
-            probe(sStar, t) * dsInv - probe(tStar, s) * dtInv
-      i += 1
-    }
-    sStar.unpersist(); tStar.unpersist(); trans.unpersist(); sym.unpersist()
-    rB
   }
 }

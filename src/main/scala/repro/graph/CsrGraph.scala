@@ -9,8 +9,9 @@ import org.apache.spark.sql.DataFrame
   * `neighbors(offsets(u) until offsets(u+1))` enumerates the neighbourhood
   * of `u` and `degree(u) = offsets(u+1) - offsets(u)`.
   *
-  * The structure is immutable and `Serializable`, which lets the walk
-  * engine broadcast it to executors once per query batch.
+  * The structure is immutable, so the walk engine's threads share one
+  * instance without locking; it is `Serializable`, so Spark tasks can
+  * capture it.
   *
   * @param offsets length `n + 1`; CSR row pointers.
   * @param neighbors length `2m`; concatenated adjacency lists, each
@@ -174,7 +175,7 @@ object CsrGraph {
   /** Builds a CSR graph by collecting a Spark edge `DataFrame` with integer
     * columns `src`, `dst`. Intended for graphs that fit the driver (all our
     * analogs do); the distributed algorithms operate on the DataFrame form
-    * via [[GraphOps]] and on the broadcast CSR via the walk engine.
+    * via [[GraphOps]].
     */
   def fromEdgeDf(n: Int, edges: DataFrame): CsrGraph = {
     val rows = edges.select("src", "dst").collect()

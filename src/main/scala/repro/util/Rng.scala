@@ -4,9 +4,9 @@ package repro.util
   *
   * Every random draw in the reproduction is derived from an explicit
   * `(seed, stream)` pair so that results are deterministic regardless of
-  * Spark partitioning or thread scheduling: a partition derives its own
-  * stream from `(querySeed, partitionIndex)`, which makes distributed and
-  * local execution of the same batch produce identical walk samples.
+  * thread scheduling: the walk engine gives sample `k` of a batch the
+  * stream `(batchSeed, k)`, so which thread draws a sample does not change
+  * the sample.
   */
 final class Rng(seed0: Long) extends Serializable {
   private var state: Long = seed0

@@ -1,5 +1,8 @@
 package repro.core
 
+import scala.concurrent.{Await, ExecutionContext, Future}
+import scala.concurrent.duration._
+
 import repro.{SparkSpec, TestGraphs}
 import repro.graph.GraphGen
 
@@ -136,11 +139,63 @@ class AmcSpec extends SparkSpec {
     assert(a.estimate == b.estimate && a.walks == b.walks)
   }
 
-  test("distributed walk path gives an equally accurate estimate") {
-    val f = TestGraphs.toy
-    val engDist = new WalkEngine(spark, f.g, localStepThreshold = 0L)
-    val r = Amc.query(f.g, f.lambda, 0, 1, 0.2, 0.01, 5, engDist, seed = 21)
-    assert(math.abs(r.estimate - f.exactEr(0, 1)) <= 0.2)
+  test("query is bit-identical on 1 and 4 threads, with batches on both sides of the cut-off") {
+    val f = TestGraphs.ba300
+    val eng = engineFor(f.g)
+    val (s, t) = TestGraphs.pairs(f.g, 1).head
+    val eps = 0.1
+    def run(threads: Int): PerResult =
+      WalksSpec.inPool(threads)(Amc.query(f.g, f.lambda, s, t, eps, 0.01, 5, eng, seed = 21))
+    val one = run(1)
+    val four = run(4)
+    assert(java.lang.Double.doubleToLongBits(one.estimate) == java.lang.Double.doubleToLongBits(four.estimate))
+    assert(one == four)
+    // Batches double from eta0, so walks = 2 eta0 (2^b - 1).
+    val steps = 2L * Ell.refined(eps, f.lambda, f.g.degree(s), f.g.degree(t))
+    val eta0 = one.walks / (2L * ((1L << one.batches) - 1L))
+    assert(WalkEngine.runsInline(eta0, steps), "first batch should run inline")
+    assert(!WalkEngine.runsInline(eta0 << (one.batches - 1), steps), "last batch should run in parallel")
+    assert(math.abs(one.estimate - f.exactEr(s, t)) <= eps)
+  }
+
+  test("etaStar fails fast beyond a Long instead of saturating") {
+    assert(Amc.etaStar(1.0, 1e-4, 5, 0.01) > 0L)
+    val e = intercept[IllegalArgumentException](Amc.etaStar(1.0, 1e-10, 5, 0.01))
+    assert(e.getMessage.contains("does not fit a Long"))
+  }
+
+  test("estimate fails fast when eta* is beyond a Long") {
+    val g = GraphGen.toyFig2
+    val sVec = new Array[Double](g.n); sVec(0) = 1.0
+    val tVec = new Array[Double](g.n); tVec(1) = 1.0
+    intercept[IllegalArgumentException](Amc.estimate(g, 0, 1, sVec, tVec, 1e-10, 4, 5, 0.01, engine, 1))
+  }
+
+  /** The ε at which η* (Eq. 8) equals `etaS`. The tests below use
+    * η* = 6e18, in (2^62, 2^63): it fits a Long, but τ = 62 doubling batches
+    * from `ceil(η* / 2^61) = 3` walk pairs do not.
+    */
+  private def epsForEtaStar(psi: Double, tau: Int, delta: Double, etaS: Double): Double =
+    math.sqrt(2.0 * psi * psi * math.log(2.0 * tau / delta) / etaS)
+
+  test("h fails fast when tau doubling batches overflow the walk count") {
+    val (psi, tau, delta) = (1.0, 62, 0.01)
+    val eps = epsForEtaStar(psi, tau, delta, 6e18)
+    assert(Amc.etaStar(psi, eps, tau, delta) > (1L << 62))
+    val e = intercept[IllegalArgumentException](Amc.h(psi, eps, tau, delta))
+    assert(e.getMessage.contains("overflow"))
+  }
+
+  test("estimate fails fast when tau doubling batches overflow the walk count") {
+    val g = GraphGen.toyFig2
+    val sVec = new Array[Double](g.n); sVec(0) = 1.0
+    val tVec = new Array[Double](g.n); tVec(1) = 1.0
+    val (ellF, tau, delta) = (4, 62, 0.01)
+    val eps = epsForEtaStar(Amc.psi(sVec, tVec, g.degree(0), g.degree(1), ellF), tau, delta, 6e18)
+    // Without the up-front check the batches would only grow towards the
+    // overflow, so bound the wait instead of hanging.
+    val run = Future(Amc.estimate(g, 0, 1, sVec, tVec, eps, ellF, tau, delta, engine, 1))(ExecutionContext.global)
+    intercept[IllegalArgumentException](Await.result(run, 60.seconds))
   }
 
   test("AmcEstimator wraps query with timing") {

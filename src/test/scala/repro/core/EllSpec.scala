@@ -54,6 +54,14 @@ class EllSpec extends AnyFunSuite {
     intercept[IllegalArgumentException](Ell.refined(0.1, 0.5, 0, 3))
   }
 
+  test("ell fails fast as lambda -> 1 instead of saturating at Int.MaxValue") {
+    assert(Ell.peng(0.1, 1 - 1e-6) > 1000000)
+    val lambda = 1 - 1e-12
+    val e = intercept[IllegalArgumentException](Ell.peng(0.1, lambda))
+    assert(e.getMessage.contains("too close to 1"))
+    intercept[IllegalArgumentException](Ell.refined(0.1, lambda, 3, 3))
+  }
+
   test("truncation guarantee: |r − r_ell| <= eps/2 with refined ell") {
     for {
       f <- Seq(TestGraphs.toy, TestGraphs.complete10, TestGraphs.cycle9, TestGraphs.ba300)

@@ -1,10 +1,13 @@
 package repro.core
 
+import java.util.concurrent.{Callable, ForkJoinPool}
+
 import repro.{SparkSpec, TestGraphs}
-import repro.graph.GraphGen
+import repro.graph.{CsrGraph, GraphGen}
 import repro.util.Rng
 
 class WalksSpec extends SparkSpec {
+  import WalksSpec.inPool
 
   private lazy val toy = GraphGen.toyFig2
 
@@ -86,29 +89,76 @@ class WalksSpec extends SparkSpec {
     assert(math.abs(acc / n - q) < 0.01, s"${acc / n} vs $q")
   }
 
-  test("engine local and distributed paths produce identical sums") {
-    val g = toy
-    val eng = new WalkEngine(spark, g, localStepThreshold = Long.MaxValue)
-    val engDist = new WalkEngine(spark, g, localStepThreshold = 0L)
-    def sample(graph: repro.graph.CsrGraph, rng: Rng): Double =
-      Walks.endpoint(graph, 0, 5, rng).toDouble
-    val (a, a2) = eng.sumAndSumSq(5000, seed = 13, stepsPerSample = 5)(sample)
-    val (b, b2) = engDist.sumAndSumSq(5000, seed = 13, stepsPerSample = 5)(sample)
-    assert(math.abs(a - b) < 1e-6 && math.abs(a2 - b2) < 1e-6)
+  private val C = WalkEngine.ChunkSize
+  private val steps = 5L
+  /** The largest batch of `steps`-step samples that runs inline. */
+  private val inlineMax = WalkEngine.InlineSteps / steps
+
+  /** Empty, single, partial and full chunks, a count that is not a
+    * multiple of the chunk size, and batches on each side of the cut-off.
+    */
+  private val counts = Seq(0L, 1L, C - 1L, C.toLong, 3L * C + 7, inlineMax, inlineMax + 1)
+
+  private def bits(x: Double): Long = java.lang.Double.doubleToLongBits(x)
+
+  /** A sample whose sums round differently under another association. */
+  private def zSample(graph: CsrGraph, rng: Rng): Double =
+    Walks.endpoint(graph, 0, steps.toInt, rng) * 0.1 + rng.nextDouble()
+
+  private def vecSample(graph: CsrGraph, rng: Rng, acc: Array[Double]): Unit = {
+    val e = Walks.endpoint(graph, 1, steps.toInt, rng)
+    acc(0) += 1.0
+    acc(1 + e % 2) += rng.nextDouble()
   }
 
-  test("engine sumVec local and distributed agree") {
-    val g = toy
-    val eng = new WalkEngine(spark, g, localStepThreshold = Long.MaxValue)
-    val engDist = new WalkEngine(spark, g, localStepThreshold = 0L)
-    def sample(graph: repro.graph.CsrGraph, rng: Rng, acc: Array[Double]): Unit = {
-      val e = Walks.endpoint(graph, 1, 4, rng)
-      acc(e % 3) += 1.0
+  /** Serial chunk-by-chunk sum of `f(k)` over `k < count`: each chunk from
+    * 0.0 in sample order, chunk sums merged in chunk order.
+    */
+  private def chunked(count: Long)(f: Long => Double): Double =
+    (0L until count by C.toLong).map { start =>
+      (start until math.min(start + C, count)).foldLeft(0.0)((acc, k) => acc + f(k))
+    }.foldLeft(0.0)(_ + _)
+
+  test("engine sumAndSumSq is bit-identical on 1 and 4 threads and matches a chunked serial sum") {
+    assert(WalkEngine.runsInline(inlineMax, steps) && !WalkEngine.runsInline(inlineMax + 1, steps))
+    assert(inlineMax + 1 > 2L * C, "the parallel batch must span several chunks")
+    val eng = new WalkEngine(spark, toy)
+    counts.foreach { count =>
+      val seed = 13 + count
+      val one = inPool(1)(eng.sumAndSumSq(count, seed, steps)(zSample))
+      val four = inPool(4)(eng.sumAndSumSq(count, seed, steps)(zSample))
+      val ref = chunked(count)(k => zSample(toy, Rng(seed, k)))
+      val refSq = chunked(count) { k => val z = zSample(toy, Rng(seed, k)); z * z }
+      assert(bits(one._1) == bits(four._1) && bits(one._2) == bits(four._2), s"count=$count: $one vs $four")
+      assert(bits(one._1) == bits(ref) && bits(one._2) == bits(refSq), s"count=$count: $one vs ($ref, $refSq)")
     }
-    val a = eng.sumVec(3000, seed = 17, dim = 3, stepsPerSample = 4)(sample)
-    val b = engDist.sumVec(3000, seed = 17, dim = 3, stepsPerSample = 4)(sample)
-    assert(a.toSeq == b.toSeq)
-    assert(a.sum == 3000.0)
+  }
+
+  test("engine sumVec is bit-identical on 1 and 4 threads and matches a chunked serial sum") {
+    val eng = new WalkEngine(spark, toy)
+    counts.foreach { count =>
+      val seed = 17 + count
+      val one = inPool(1)(eng.sumVec(count, seed, dim = 3, steps)(vecSample))
+      val four = inPool(4)(eng.sumVec(count, seed, dim = 3, steps)(vecSample))
+      val ref = (0 until 3).map { i =>
+        chunked(count) { k => val acc = new Array[Double](3); vecSample(toy, Rng(seed, k), acc); acc(i) }
+      }
+      assert(one.map(bits).toSeq == four.map(bits).toSeq, s"count=$count")
+      assert(one.map(bits).toSeq == ref.map(bits), s"count=$count: ${one.toSeq} vs $ref")
+      assert(one(0) == count.toDouble)
+    }
+  }
+
+  test("engine path choice does not overflow count × steps") {
+    assert(!WalkEngine.runsInline(2L, Long.MaxValue / 2 + 1))
+    assert(!WalkEngine.runsInline(1L << 40, 1L << 30))
+    assert(WalkEngine.runsInline(1L, 0L))
+  }
+
+  test("engine rejects a negative or oversized sample count") {
+    val eng = new WalkEngine(spark, toy)
+    intercept[IllegalArgumentException](eng.sumAndSumSq(-1L, 1, 1)((_, _) => 1.0))
+    intercept[IllegalArgumentException](eng.sumVec(WalkEngine.MaxCount + 1, 1, 1, 1)((_, _, _) => ()))
   }
 
   test("engine respects count: sums scale linearly-ish") {
@@ -116,5 +166,17 @@ class WalksSpec extends SparkSpec {
     val eng = new WalkEngine(spark, g)
     val (one, _) = eng.sumAndSumSq(1000, 3, 1)((_, _) => 1.0)
     assert(one == 1000.0)
+  }
+}
+
+object WalksSpec {
+
+  /** Runs `body` as a task of a fresh pool of `threads` workers, so the
+    * engine's parallel streams run on that pool.
+    */
+  def inPool[A](threads: Int)(body: => A): A = {
+    val pool = new ForkJoinPool(threads)
+    try pool.submit(new Callable[A] { def call(): A = body }).get()
+    finally pool.shutdown()
   }
 }
