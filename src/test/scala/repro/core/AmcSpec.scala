@@ -158,6 +158,17 @@ class AmcSpec extends SparkSpec {
     assert(math.abs(one.estimate - f.exactEr(s, t)) <= eps)
   }
 
+  test("distributed walk path gives an equally accurate estimate") {
+    val f = TestGraphs.toy
+    val eps = 0.2
+    val r = WalksSpec.inPool(4)(Amc.query(f.g, f.lambda, 0, 1, eps, 0.01, 5, engine, seed = 21))
+    // The last doubling batch spreads its chunks over the pool's workers.
+    val steps = 2L * Ell.refined(eps, f.lambda, f.g.degree(0), f.g.degree(1))
+    val eta0 = r.walks / (2L * ((1L << r.batches) - 1L))
+    assert(!WalkEngine.runsInline(eta0 << (r.batches - 1), steps), "last batch should run in parallel")
+    assert(math.abs(r.estimate - f.exactEr(0, 1)) <= eps)
+  }
+
   test("etaStar fails fast beyond a Long instead of saturating") {
     assert(Amc.etaStar(1.0, 1e-4, 5, 0.01) > 0L)
     val e = intercept[IllegalArgumentException](Amc.etaStar(1.0, 1e-10, 5, 0.01))

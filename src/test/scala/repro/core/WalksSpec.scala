@@ -149,6 +149,31 @@ class WalksSpec extends SparkSpec {
     }
   }
 
+  // The local path sums a batch's chunks inline on the calling thread; the
+  // distributed path spreads them over the pool's workers. `stepsPerSample`
+  // is only a cost hint, so 0 forces the same batch inline.
+  test("engine local and distributed paths produce identical sums") {
+    val eng = new WalkEngine(spark, toy)
+    def sample(graph: CsrGraph, rng: Rng): Double = Walks.endpoint(graph, 0, 5, rng).toDouble
+    assert(WalkEngine.runsInline(5000, 0) && !WalkEngine.runsInline(5000, 5))
+    val (a, a2) = inPool(4)(eng.sumAndSumSq(5000, seed = 13, stepsPerSample = 0)(sample))
+    val (b, b2) = inPool(4)(eng.sumAndSumSq(5000, seed = 13, stepsPerSample = 5)(sample))
+    assert(bits(a) == bits(b) && bits(a2) == bits(b2), s"($a, $a2) vs ($b, $b2)")
+  }
+
+  test("engine sumVec local and distributed agree") {
+    val eng = new WalkEngine(spark, toy)
+    def sample(graph: CsrGraph, rng: Rng, acc: Array[Double]): Unit = {
+      val e = Walks.endpoint(graph, 1, 4, rng)
+      acc(e % 3) += 1.0
+    }
+    assert(WalkEngine.runsInline(3000, 0) && !WalkEngine.runsInline(3000, 4))
+    val a = inPool(4)(eng.sumVec(3000, seed = 17, dim = 3, stepsPerSample = 0)(sample))
+    val b = inPool(4)(eng.sumVec(3000, seed = 17, dim = 3, stepsPerSample = 4)(sample))
+    assert(a.toSeq == b.toSeq)
+    assert(a.sum == 3000.0)
+  }
+
   test("engine path choice does not overflow count × steps") {
     assert(!WalkEngine.runsInline(2L, Long.MaxValue / 2 + 1))
     assert(!WalkEngine.runsInline(1L << 40, 1L << 30))
