@@ -57,6 +57,15 @@ object Amc {
     eta0
   }
 
+  /** Fails unless `s` and `t` are nodes of `g` and `0 < δ < 1`: the checks
+    * of every query entry point.
+    */
+  private[core] def requireQuery(g: CsrGraph, s: Int, t: Int, delta: Double): Unit = {
+    require(s >= 0 && s < g.n && t >= 0 && t < g.n,
+      s"query pair ($s, $t) is outside the node range [0, ${g.n})")
+    require(delta > 0.0 && delta < 1.0, s"delta = $delta is outside (0, 1)")
+  }
+
   /** The two largest values of a non-negative vector. */
   def topTwo(x: Array[Double]): (Double, Double) = {
     var m1 = Double.NegativeInfinity
@@ -101,9 +110,10 @@ object Amc {
     while (i <= tau && !done) {
       val eta = eta0 << (i - 1)
       val batchSeed = repro.util.Rng.derive(seed, 0x5EEDL + i)
-      val (sumZ, sumZ2) = engine.sumAndSumSq(eta, batchSeed, 2L * ellF) { (graph, rng) =>
-        Walks.zSample(graph, s, t, ellF, rng, sVec, tVec, dsInv, dtInv)
+      val sums = engine.sumChunks(eta, 2, 2L * ellF) { (from, until, acc) =>
+        Walks.zSums(g, s, t, ellF, batchSeed, from, until, sVec, tVec, dsInv, dtInv, acc)
       }
+      val sumZ = sums(0); val sumZ2 = sums(1)
       totalWalks += 2L * eta // a walk from s and a walk from t per sample
       batches += 1
       z = sumZ / eta
@@ -122,6 +132,7 @@ object Amc {
   def query(g: CsrGraph, lambda: Double, s: Int, t: Int,
             eps: Double, delta: Double, tau: Int,
             engine: WalkEngine, seed: Long): PerResult = {
+    requireQuery(g, s, t, delta)
     if (s == t) return PerResult(0.0)
     val ell = Ell.refined(eps, lambda, g.degree(s), g.degree(t))
     val sVec = new Array[Double](g.n); sVec(s) = 1.0

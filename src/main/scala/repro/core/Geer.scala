@@ -28,6 +28,7 @@ object Geer {
             eps: Double, delta: Double, tau: Int,
             engine: WalkEngine, seed: Long,
             ellBOverride: Option[Int] = None): PerResult = {
+    Amc.requireQuery(g, s, t, delta)
     if (s == t) return PerResult(0.0)
     val ds = g.degree(s); val dt = g.degree(t)
     val ell = Ell.refined(eps, lambda, ds, dt)
@@ -51,6 +52,7 @@ object Geer {
     */
   def switchPoint(g: CsrGraph, lambda: Double, s: Int, t: Int,
                   eps: Double, delta: Double, tau: Int): Int = {
+    Amc.requireQuery(g, s, t, delta)
     val ell = Ell.refined(eps, lambda, g.degree(s), g.degree(t))
     val st = new Smm.State(g, s, t)
     advanceGreedily(st, ell, eps, delta, tau)

@@ -74,6 +74,23 @@ class AmcSpec extends SparkSpec {
     assert(Amc.query(f.g, f.lambda, 4, 4, 0.1, 0.01, 5, engine, 1).estimate == 0.0)
   }
 
+  test("query rejects node ids outside [0, n)") {
+    val f = TestGraphs.toy
+    val n = f.g.n
+    Seq((-1, 0), (0, -1), (n, 0), (0, n), (n, n)).foreach { case (s, t) =>
+      val e = intercept[IllegalArgumentException](Amc.query(f.g, f.lambda, s, t, 0.2, 0.01, 5, engine, 1))
+      assert(e.getMessage.contains("outside the node range"), s"($s,$t): ${e.getMessage}")
+    }
+  }
+
+  test("query rejects delta outside (0, 1)") {
+    val f = TestGraphs.toy
+    Seq(0.0, -0.5, 1.0, 1.5, Double.NaN).foreach { delta =>
+      val e = intercept[IllegalArgumentException](Amc.query(f.g, f.lambda, 0, 1, 0.2, delta, 5, engine, 1))
+      assert(e.getMessage.contains("is outside (0, 1)"), s"delta=$delta: ${e.getMessage}")
+    }
+  }
+
   test("query is eps-accurate on the toy graph across pairs and eps") {
     val f = TestGraphs.toy
     for {

@@ -12,6 +12,27 @@ class GeerSpec extends SparkSpec {
     assert(Geer.query(f.g, f.lambda, 3, 3, 0.1, 0.01, 5, engineFor(f.g), 1).estimate == 0.0)
   }
 
+  test("query and switchPoint reject node ids outside [0, n)") {
+    val f = TestGraphs.toy
+    val eng = engineFor(f.g)
+    val n = f.g.n
+    Seq((-1, 0), (0, -1), (n, 0), (0, n), (n, n)).foreach { case (s, t) =>
+      val q = intercept[IllegalArgumentException](Geer.query(f.g, f.lambda, s, t, 0.1, 0.01, 5, eng, 1))
+      val sp = intercept[IllegalArgumentException](Geer.switchPoint(f.g, f.lambda, s, t, 0.1, 0.01, 5))
+      Seq(q, sp).foreach(e => assert(e.getMessage.contains("outside the node range"), s"($s,$t): ${e.getMessage}"))
+    }
+  }
+
+  test("query and switchPoint reject delta outside (0, 1)") {
+    val f = TestGraphs.toy
+    val eng = engineFor(f.g)
+    Seq(0.0, -0.5, 1.0, 1.5, Double.NaN).foreach { delta =>
+      val q = intercept[IllegalArgumentException](Geer.query(f.g, f.lambda, 0, 1, 0.1, delta, 5, eng, 1))
+      val sp = intercept[IllegalArgumentException](Geer.switchPoint(f.g, f.lambda, 0, 1, 0.1, delta, 5))
+      Seq(q, sp).foreach(e => assert(e.getMessage.contains("is outside (0, 1)"), s"delta=$delta: ${e.getMessage}"))
+    }
+  }
+
   test("eps-accurate on the toy graph across eps") {
     val f = TestGraphs.toy
     val eng = engineFor(f.g)

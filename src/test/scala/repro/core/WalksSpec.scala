@@ -7,7 +7,7 @@ import repro.graph.{CsrGraph, GraphGen}
 import repro.util.Rng
 
 class WalksSpec extends SparkSpec {
-  import WalksSpec.inPool
+  import WalksSpec.{inPool, walkSum, zSample}
 
   private lazy val toy = GraphGen.toyFig2
 
@@ -63,7 +63,7 @@ class WalksSpec extends SparkSpec {
     // walkSum with sCoef=1: number of times the walk visits node 0 in
     // len steps; verify against a hand-stepped walk with the same stream.
     val seedRng = Rng(9, 3)
-    val sum = Walks.walkSum(g, 2, 6, seedRng, sVec, 1.0, tVec, 1.0)
+    val sum = walkSum(g, 2, 6, seedRng, sVec, 1.0, tVec, 1.0)
     val replay = Rng(9, 3)
     var cur = 2
     var visits = 0
@@ -85,7 +85,7 @@ class WalksSpec extends SparkSpec {
     val q = Smm.run(g, s, t, ellF) - (dsInv + dtInv)
     val n = 400000
     var acc = 0.0
-    (0 until n).foreach(k => acc += Walks.zSample(g, s, t, ellF, Rng(11, k), sVec, tVec, dsInv, dtInv))
+    (0 until n).foreach(k => acc += zSample(g, s, t, ellF, Rng(11, k), sVec, tVec, dsInv, dtInv))
     assert(math.abs(acc / n - q) < 0.01, s"${acc / n} vs $q")
   }
 
@@ -102,7 +102,7 @@ class WalksSpec extends SparkSpec {
   private def bits(x: Double): Long = java.lang.Double.doubleToLongBits(x)
 
   /** A sample whose sums round differently under another association. */
-  private def zSample(graph: CsrGraph, rng: Rng): Double =
+  private def roundingSample(graph: CsrGraph, rng: Rng): Double =
     Walks.endpoint(graph, 0, steps.toInt, rng) * 0.1 + rng.nextDouble()
 
   private def vecSample(graph: CsrGraph, rng: Rng, acc: Array[Double]): Unit = {
@@ -125,10 +125,10 @@ class WalksSpec extends SparkSpec {
     val eng = new WalkEngine(spark, toy)
     counts.foreach { count =>
       val seed = 13 + count
-      val one = inPool(1)(eng.sumAndSumSq(count, seed, steps)(zSample))
-      val four = inPool(4)(eng.sumAndSumSq(count, seed, steps)(zSample))
-      val ref = chunked(count)(k => zSample(toy, Rng(seed, k)))
-      val refSq = chunked(count) { k => val z = zSample(toy, Rng(seed, k)); z * z }
+      val one = inPool(1)(eng.sumAndSumSq(count, seed, steps)(roundingSample))
+      val four = inPool(4)(eng.sumAndSumSq(count, seed, steps)(roundingSample))
+      val ref = chunked(count)(k => roundingSample(toy, Rng(seed, k)))
+      val refSq = chunked(count) { k => val z = roundingSample(toy, Rng(seed, k)); z * z }
       assert(bits(one._1) == bits(four._1) && bits(one._2) == bits(four._2), s"count=$count: $one vs $four")
       assert(bits(one._1) == bits(ref) && bits(one._2) == bits(refSq), s"count=$count: $one vs ($ref, $refSq)")
     }
@@ -174,6 +174,108 @@ class WalksSpec extends SparkSpec {
     assert(a.sum == 3000.0)
   }
 
+  test("Rng: skipping n draws and then drawing matches drawing n times and then drawing") {
+    Seq(0L, 1L, 2L, 7L, 1000L).foreach { n =>
+      val drawn = Rng(5, n)
+      (0L until n).foreach(i => if (i % 2 == 0) drawn.nextInt(1000) else drawn.nextDouble())
+      // Rng(seed, k) starts at counter derive(seed, k); draw i after the
+      // skip is at that counter skipped by n + i draws.
+      val start = Rng.derive(5, n)
+      (1 to 4).foreach { i =>
+        assert(Rng.boundedInt(Rng.skip(start, n + i), 1 << 30) == drawn.nextInt(1 << 30), s"n=$n i=$i")
+      }
+    }
+  }
+
+  /** The lockstep kernel's sums of samples `from until from + count` and
+    * the oracle's, each summed in sample order.
+    */
+  private def kernelAndOracle(g: CsrGraph, s: Int, t: Int, len: Int, seed: Long, from: Long, count: Int,
+                              sVec: Array[Double], tVec: Array[Double]): (Seq[Long], Seq[Long]) = {
+    val dsInv = 1.0 / g.degree(s); val dtInv = 1.0 / g.degree(t)
+    val out = new Array[Double](2)
+    Walks.zSums(g, s, t, len, seed, from, from + count, sVec, tVec, dsInv, dtInv, out)
+    var sum = 0.0; var sumSq = 0.0
+    (from until from + count).foreach { k =>
+      val z = zSample(g, s, t, len, Rng(seed, k), sVec, tVec, dsInv, dtInv)
+      sum += z; sumSq += z * z
+    }
+    (out.toSeq.map(bits), Seq(sum, sumSq).map(bits))
+  }
+
+  /** SMM's `s*`, `t*` after `iters` iterations: one-hot at 0, then dense
+    * and unequal, so that the sums round at every step.
+    */
+  private def smmVectors(g: CsrGraph, s: Int, t: Int, iters: Int): (Array[Double], Array[Double]) = {
+    val st = new Smm.State(g, s, t)
+    (1 to iters).foreach(_ => st.advance())
+    (st.sStar, st.tStar)
+  }
+
+  test("lockstep zSums are bit-identical to per-sample Eq. (11) sums") {
+    val g = TestGraphs.ba300.g
+    val (s, t) = TestGraphs.pairs(g, 1).head
+    for {
+      (a, b) <- Seq((s, t), (0, g.neighbor(0, 0))) // a far pair and an adjacent one
+      iters <- Seq(0, 3) // one-hot vectors, then dense ones
+      (sVec, tVec) = smmVectors(g, a, b, iters)
+      len <- Seq(1, 2, 9)
+      count <- Seq(0, 1, 15, 16, 17, 55)
+      from <- Seq(0L, 37L)
+    } {
+      val (kernel, oracle) = kernelAndOracle(g, a, b, len, seed = 101 + len, from, count, sVec, tVec)
+      assert(kernel == oracle, s"($a,$b) iters=$iters len=$len count=$count from=$from")
+    }
+  }
+
+  test("engine chunks of lockstep zSums match a chunked per-sample sum on 1 and 4 threads") {
+    val g = TestGraphs.ba300.g
+    val (s, t) = TestGraphs.pairs(g, 1).head
+    val (sVec, tVec) = smmVectors(g, s, t, 2)
+    val dsInv = 1.0 / g.degree(s); val dtInv = 1.0 / g.degree(t)
+    val len = 6
+    val eng = new WalkEngine(spark, g)
+    val perSample = WalkEngine.InlineSteps / (2L * len)
+    Seq(0L, 1L, C - 1L, C.toLong, C + 1L, 55L, perSample, perSample + 1).foreach { count =>
+      val seed = 29 + count
+      def run(threads: Int): Seq[Long] = inPool(threads) {
+        eng.sumChunks(count, 2, 2L * len) { (from, until, acc) =>
+          Walks.zSums(g, s, t, len, seed, from, until, sVec, tVec, dsInv, dtInv, acc)
+        }.toSeq.map(bits)
+      }
+      def z(k: Long): Double = zSample(g, s, t, len, Rng(seed, k), sVec, tVec, dsInv, dtInv)
+      val ref = Seq(chunked(count)(z), chunked(count) { k => val v = z(k); v * v }).map(bits)
+      val one = run(1)
+      assert(one == run(4), s"count=$count")
+      assert(one == ref, s"count=$count")
+    }
+  }
+
+  test("Amc.estimate is bit-identical on 1 and 4 threads and matches the per-sample oracle") {
+    val f = TestGraphs.ba300
+    val g = f.g
+    val (s, t) = TestGraphs.pairs(g, 1).head
+    val (sVec, tVec) = smmVectors(g, s, t, 2)
+    val eng = new WalkEngine(spark, g)
+    val (eps, ellF, delta, seed) = (0.1, 12, 0.01, 43L)
+    Seq(1, 5).foreach { tau =>
+      def run(threads: Int): PerResult =
+        inPool(threads)(Amc.estimate(g, s, t, sVec, tVec, eps, ellF, tau, delta, eng, seed))
+      val one = run(1)
+      val four = run(4)
+      assert(bits(one.estimate) == bits(four.estimate) && one == four, s"tau=$tau")
+      if (tau == 1) {
+        // One batch of eta = walks / 2 samples from stream derive(seed, 0x5EED + 1).
+        val eta = one.walks / 2
+        assert(!WalkEngine.runsInline(eta, 2L * ellF), "the batch should run in parallel")
+        val batchSeed = Rng.derive(seed, 0x5EEDL + 1)
+        val dsInv = 1.0 / g.degree(s); val dtInv = 1.0 / g.degree(t)
+        val ref = chunked(eta)(k => zSample(g, s, t, ellF, Rng(batchSeed, k), sVec, tVec, dsInv, dtInv)) / eta
+        assert(bits(one.estimate) == bits(ref), s"${one.estimate} vs $ref")
+      }
+    }
+  }
+
   test("engine path choice does not overflow count × steps") {
     assert(!WalkEngine.runsInline(2L, Long.MaxValue / 2 + 1))
     assert(!WalkEngine.runsInline(1L << 40, 1L << 30))
@@ -195,6 +297,38 @@ class WalksSpec extends SparkSpec {
 }
 
 object WalksSpec {
+
+  /** Walk-sum `Σ_{w ∈ W} x(w)` over the `len` *visited* nodes of a walk
+    * from `start` (start excluded — Eq. 11 / Lemma 3.3 count positions
+    * `w₁..w_ℓf`), where `x(u) = sVec(u)·sCoef + tVec(u)·tCoef`. One walk at
+    * a time, drawing from `rng`: the oracle for [[Walks.zSums]].
+    */
+  def walkSum(g: CsrGraph, start: Int, len: Int, rng: Rng,
+              sVec: Array[Double], sCoef: Double,
+              tVec: Array[Double], tCoef: Double): Double = {
+    var cur = start
+    var acc = 0.0
+    var i = 0
+    while (i < len) {
+      cur = Walks.step(g, cur, rng)
+      acc += sVec(cur) * sCoef + tVec(cur) * tCoef
+      i += 1
+    }
+    acc
+  }
+
+  /** The AMC random variable `Z_k` of Eq. (11), one sample at a time: a
+    * walk from `s` scored by `(s(u)/d(s) − t(u)/d(t))` plus a walk from `t`
+    * scored by the negated coefficients, both drawing from `rng` in turn,
+    * the walk from `s` first.
+    */
+  def zSample(g: CsrGraph, s: Int, t: Int, len: Int, rng: Rng,
+              sVec: Array[Double], tVec: Array[Double],
+              dsInv: Double, dtInv: Double): Double = {
+    val fromS = walkSum(g, s, len, rng, sVec, dsInv, tVec, -dtInv)
+    val fromT = walkSum(g, t, len, rng, sVec, -dsInv, tVec, dtInv)
+    fromS + fromT
+  }
 
   /** Runs `body` as a task of a fresh pool of `threads` workers, so the
     * engine's parallel streams run on that pool.
