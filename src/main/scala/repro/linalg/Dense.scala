@@ -96,24 +96,40 @@ object Dense {
 
   /** Conjugate-gradient solve of `L x = b` for mean-zero `b` on a
     * connected graph, keeping iterates mean-zero (the component along the
-    * null space `1` is projected out). Used by the RP baseline.
+    * null space `1` is projected out of `b`, of the residual every 50
+    * iterations, and of `x` at the end). Used by the RP baseline and as an
+    * ER reference.
+    *
+    * Preconditioned by `D⁻¹` (Jacobi): on graphs with hubs and a degree-1
+    * periphery, such as the dataset analogs, it needs several times fewer
+    * iterations than plain CG. The iterations allocate nothing.
+    *
+    * Stops when the true residual meets `‖b − L x‖ ≤ tol·‖b‖` (for the
+    * projected `b`), or after `maxIter` iterations. The recurrence residual
+    * is tested each iteration; once it passes, `b − L x` is computed, and if
+    * that misses the bound, the recurrence restarts from it.
     *
     * @return x with `Σ x(i) = 0`
     */
   def cgLaplacian(g: CsrGraph, b: Array[Double],
                   tol: Double = 1e-10, maxIter: Int = 10000): Array[Double] = {
     val n = g.n
-    def lapMul(x: Array[Double]): Array[Double] = {
-      val y = new Array[Double](n)
+    val offsets = g.offsets
+    val nbrs = g.neighbors
+    val invDeg = Array.tabulate(n)(v => 1.0 / math.max(g.degree(v), 1))
+    /** `y = L x`; returns `Σ x(i) y(i)`. */
+    def lapMul(x: Array[Double], y: Array[Double]): Double = {
+      var xy = 0.0
       var v = 0
       while (v < n) {
-        var acc = g.degree(v) * x(v)
-        var i = g.offsets(v)
-        while (i < g.offsets(v + 1)) { acc -= x(g.neighbors(i)); i += 1 }
+        var acc = (offsets(v + 1) - offsets(v)) * x(v)
+        var i = offsets(v)
+        while (i < offsets(v + 1)) { acc -= x(nbrs(i)); i += 1 }
         y(v) = acc
+        xy += x(v) * acc
         v += 1
       }
-      y
+      xy
     }
     def project(x: Array[Double]): Unit = {
       var mean = 0.0; var i = 0
@@ -121,29 +137,55 @@ object Dense {
       mean /= n; i = 0
       while (i < n) { x(i) -= mean; i += 1 }
     }
-    def dot(u: Array[Double], v: Array[Double]): Double = {
+    def norm(u: Array[Double]): Double = {
       var acc = 0.0; var i = 0
-      while (i < n) { acc += u(i) * v(i); i += 1 }
-      acc
+      while (i < n) { acc += u(i) * u(i); i += 1 }
+      math.sqrt(acc)
     }
+    val bp = b.clone(); project(bp)
+    val bound = tol * (norm(bp) max 1e-300)
     val x = new Array[Double](n)
-    val r = b.clone(); project(r)
-    val p = r.clone()
-    var rs = dot(r, r)
-    val bNorm = math.sqrt(rs) max 1e-300
+    val r = bp.clone()
+    val p = new Array[Double](n)
+    val ap = new Array[Double](n)
+    /** Sets the search direction to `D⁻¹ r`; returns `rᵀ D⁻¹ r`. */
+    def restart(): Double = {
+      var rz = 0.0; var i = 0
+      while (i < n) { p(i) = r(i) * invDeg(i); rz += r(i) * p(i); i += 1 }
+      rz
+    }
+    var rz = restart()
+    var rNorm = norm(r)
     var it = 0
-    while (it < maxIter && math.sqrt(rs) / bNorm > tol) {
-      val ap = lapMul(p)
-      val alpha = rs / dot(p, ap)
-      var i = 0
-      while (i < n) { x(i) += alpha * p(i); r(i) -= alpha * ap(i); i += 1 }
-      val rsNew = dot(r, r)
-      val beta = rsNew / rs
-      i = 0
-      while (i < n) { p(i) = r(i) + beta * p(i); i += 1 }
-      rs = rsNew
-      it += 1
-      if (it % 50 == 0) project(r) // counter numerical drift into null space
+    var done = false
+    while (!done && it < maxIter) {
+      if (rNorm <= bound) {
+        lapMul(x, ap)
+        var i = 0
+        while (i < n) { r(i) = bp(i) - ap(i); i += 1 }
+        rNorm = norm(r)
+        if (rNorm <= bound) done = true else rz = restart()
+      }
+      if (!done) {
+        val alpha = rz / lapMul(p, ap)
+        var rzNew = 0.0
+        var rr = 0.0
+        var i = 0
+        while (i < n) {
+          x(i) += alpha * p(i)
+          r(i) -= alpha * ap(i)
+          rzNew += r(i) * r(i) * invDeg(i)
+          rr += r(i) * r(i)
+          i += 1
+        }
+        val beta = rzNew / rz
+        i = 0
+        while (i < n) { p(i) = r(i) * invDeg(i) + beta * p(i); i += 1 }
+        rz = rzNew
+        rNorm = math.sqrt(rr)
+        it += 1
+        if (it % 50 == 0) { project(r); rNorm = norm(r) } // counter drift into the null space
+      }
     }
     project(x)
     x

@@ -32,6 +32,22 @@ object TestGraphs {
   lazy val ergodic: Seq[Fixture] =
     Seq(complete10, complete25, cycle9, cycle15, barbell8, toy, er200, ba300, ba500dense)
 
+  /** A BA(`coreN`, `mAttach`) core with `whiskers` K5 cliques and then
+    * `pendants` single nodes appended, each attached to the core by one
+    * edge, as on the dataset analogs: degrees run from 1 to the hubs', and
+    * the whiskers put eigenvalues close to 1 and to each other.
+    */
+  def whiskered(coreN: Int, mAttach: Int, whiskers: Int, pendants: Int, seed: Long): CsrGraph = {
+    val core = GraphGen.barabasiAlbert(coreN, mAttach, seed)
+    val rng = repro.util.Rng(seed, 0x3712L)
+    val cliques = (0 until whiskers).flatMap { w =>
+      val base = coreN + 5 * w
+      (for (a <- 0 until 5; b <- a + 1 until 5) yield (base + a, base + b)) :+ ((base, rng.nextInt(coreN)))
+    }
+    val leaves = (0 until pendants).map(k => (coreN + 5 * whiskers + k, rng.nextInt(coreN)))
+    CsrGraph.fromEdges(coreN + 5 * whiskers + pendants, (core.undirectedEdges ++ cliques ++ leaves).toSeq)
+  }
+
   /** Deterministic query pairs (s, t), s != t, spread across a graph. */
   def pairs(g: CsrGraph, count: Int, seed: Long = 17): Seq[(Int, Int)] = {
     val rng = repro.util.Rng(seed)

@@ -1,8 +1,10 @@
 package repro.graph
 
-import repro.SparkSpec
+import org.scalatest.funsuite.AnyFunSuite
+import repro.core.WalksSpec.inPool
 
-class SpectralSpec extends SparkSpec {
+class SpectralSpec extends AnyFunSuite {
+  import SpectralSpec.oracleLambda
 
   test("complete graph K_n: lambda = 1/(n-1)") {
     Seq(4, 7, 10, 25).foreach { n =>
@@ -69,19 +71,135 @@ class SpectralSpec extends SparkSpec {
     }
   }
 
-  test("distributed lambda agrees with local on the toy graph") {
-    val g = GraphGen.toyFig2
-    val local = Spectral.lambda(g)
-    // Loose tol: every distributed iteration is a Spark job; 60 rounds of
-    // N² already give ~3 correct digits, which is what Eq. (6) needs.
-    val dist = Spectral.lambdaDistributed(spark, GraphGen.toEdgeDf(spark, g), tol = 1e-6, maxIter = 60)
-    assert(math.abs(local - dist) < 1e-2, s"local=$local dist=$dist")
+  test("lambda is bit-identical to one-vector power iteration on 1 and 4 threads") {
+    val maxIter = 3000
+    /** Asserts `Spectral.lambda == oracle` on both pools; returns the
+      * oracle's iteration count. */
+    def check(name: String, g: CsrGraph, tol: Double): Int = {
+      val (expect, iters) = oracleLambda(g, tol, maxIter)
+      Seq(1, 4).foreach { threads =>
+        val got = inPool(threads)(Spectral.lambda(g, tol, maxIter))
+        assert(got == expect, s"$name, tol $tol, $threads threads: $got vs $expect")
+      }
+      iters
+    }
+    val big = GraphGen.barabasiAlbert(2000, 3, seed = 8)
+    assert(big.n > Spectral.BlockRows, "BA(2000, 3) must span several row blocks")
+    val graphs = Seq(4, 7, 10, 25).map(k => s"K_$k" -> GraphGen.complete(k)) ++
+      Seq(5, 9, 15).map(k => s"C_$k" -> GraphGen.cycle(k)) ++
+      Seq("barbell(8)" -> GraphGen.barbell(8),
+          "BA(200, 3)" -> GraphGen.barabasiAlbert(200, 3, seed = 5),
+          "BA(2000, 3)" -> big)
+    graphs.foreach { case (name, g) => check(name, g, 1e-9) }
+    // Each whisker adds an eigenvalue near λ: the cap stops this one.
+    val slow = repro.TestGraphs.whiskered(2000, 3, whiskers = 8, pendants = 0, seed = 8)
+    assert(check("BA(2000, 3) with whiskers", slow, 1e-9) == maxIter, "should stop at the cap")
+    assert(check("BA(2000, 3)", big, 1e-4) < maxIter, "tol 1e-4 should stop before the cap")
   }
 
-  test("distributed lambda agrees with local on K_8") {
-    val g = GraphGen.complete(8)
-    val local = Spectral.lambda(g)
-    val dist = Spectral.lambdaDistributed(spark, GraphGen.toEdgeDf(spark, g), tol = 1e-7, maxIter = 40)
-    assert(math.abs(local - dist) < 1e-3, s"local=$local dist=$dist")
+  test("lambda rejects tol >= 1") {
+    Seq(1.0, 2.5, Double.PositiveInfinity).foreach { tol =>
+      val e = intercept[IllegalArgumentException](Spectral.lambda(GraphGen.cycle(9), tol = tol))
+      assert(e.getMessage.contains("tol"), e.getMessage)
+    }
+  }
+
+  test("lambda rejects a NaN tol") {
+    val e = intercept[IllegalArgumentException](Spectral.lambda(GraphGen.cycle(9), tol = Double.NaN))
+    assert(e.getMessage.contains("tol"), e.getMessage)
+  }
+
+  test("lambda rejects maxIter <= 0") {
+    Seq(0, -1, Int.MinValue).foreach { maxIter =>
+      val e = intercept[IllegalArgumentException](Spectral.lambda(GraphGen.cycle(9), maxIter = maxIter))
+      assert(e.getMessage.contains("maxIter"), e.getMessage)
+    }
+  }
+
+  test("lambda rejects a bipartite graph") {
+    Seq(GraphGen.cycle(8), GraphGen.path(6), GraphGen.star(5)).foreach { g =>
+      val e = intercept[IllegalArgumentException](Spectral.lambda(g))
+      assert(e.getMessage.contains("bipartite"), e.getMessage)
+    }
+  }
+
+  test("lambda rejects a disconnected graph") {
+    val twoTriangles = CsrGraph.fromEdges(6, Seq((0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)))
+    val e = intercept[IllegalArgumentException](Spectral.lambda(twoTriangles))
+    assert(e.getMessage.contains("connected"), e.getMessage)
+  }
+}
+
+object SpectralSpec {
+
+  /** One-vector-at-a-time power iteration on `N²`, the reference for
+    * [[Spectral.lambda]]: each step allocates `N x`, `N² x` and the squared
+    * entries, divides by `√d(u)` once per edge, deflates `u₁`, and
+    * normalises. Returns λ and the number of `N²` applications.
+    */
+  def oracleLambda(g: CsrGraph, tol: Double, maxIter: Int): (Double, Int) = {
+    val n = g.n
+    val sqrtDeg = Array.tabulate(n)(v => math.sqrt(g.degree(v).toDouble))
+    val u1 = {
+      val norm = math.sqrt(2.0 * g.m)
+      Array.tabulate(n)(v => sqrtDeg(v) / norm)
+    }
+    var x = Array.tabulate(n) { v =>
+      val r = repro.util.Rng(0xE1EC7B1CL, v.toLong).nextDouble() - 0.5
+      r
+    }
+    deflate(x, u1); normalize(x)
+
+    var est = 0.0
+    var prev = -1.0
+    var it = 0
+    while (it < maxIter && math.abs(est - prev) > tol) {
+      prev = est
+      val y = applyN(g, sqrtDeg, applyN(g, sqrtDeg, x))
+      deflate(y, u1)
+      val norm = math.sqrt(y.map(v => v * v).sum)
+      if (norm < 1e-300) return (0.0, it)
+      est = norm
+      var i = 0
+      while (i < n) { y(i) /= norm; i += 1 }
+      x = y
+      it += 1
+    }
+    (math.min(math.sqrt(math.max(est, 0.0)), 1.0 - 1e-12), it)
+  }
+
+  /** `y = N x` with `N = D^{-1/2} A D^{-1/2}`. */
+  private def applyN(g: CsrGraph, sqrtDeg: Array[Double], x: Array[Double]): Array[Double] = {
+    val n = g.n
+    val y = new Array[Double](n)
+    var v = 0
+    while (v < n) {
+      var acc = 0.0
+      var i = g.offsets(v)
+      while (i < g.offsets(v + 1)) {
+        val u = g.neighbors(i)
+        acc += x(u) / sqrtDeg(u)
+        i += 1
+      }
+      y(v) = acc / sqrtDeg(v)
+      v += 1
+    }
+    y
+  }
+
+  private def deflate(x: Array[Double], u1: Array[Double]): Unit = {
+    var dot = 0.0
+    var i = 0
+    while (i < x.length) { dot += x(i) * u1(i); i += 1 }
+    i = 0
+    while (i < x.length) { x(i) -= dot * u1(i); i += 1 }
+  }
+
+  private def normalize(x: Array[Double]): Unit = {
+    val norm = math.sqrt(x.map(v => v * v).sum)
+    if (norm > 0) {
+      var i = 0
+      while (i < x.length) { x(i) /= norm; i += 1 }
+    }
   }
 }

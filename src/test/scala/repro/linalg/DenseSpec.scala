@@ -157,4 +157,26 @@ class DenseSpec extends AnyFunSuite {
       assert(approx(acc, b(v), 1e-6), s"residual at $v")
     }
   }
+
+  test("preconditioned CG meets its true-residual bound and matches pinv on a whiskered BA graph") {
+    val g = TestGraphs.whiskered(300, 3, whiskers = 4, pendants = 6, seed = 12)
+    assert(g.isConnected && g.degree(g.n - 1) == 1)
+    val pinv = Dense.laplacianPseudoInverse(g)
+    val pairs = TestGraphs.pairs(g, 12) ++ Seq((300, 325), (0, 318), (320, 321))
+    Seq(1e-6, 1e-10).foreach { tol =>
+      pairs.foreach { case (s, t) =>
+        val b = new Array[Double](g.n)
+        b(s) = 1.0; b(t) = -1.0
+        val x = Dense.cgLaplacian(g, b, tol)
+        val residual = math.sqrt((0 until g.n).map { v =>
+          var acc = g.degree(v) * x(v)
+          g.neighborsOf(v).foreach(u => acc -= x(u))
+          (b(v) - acc) * (b(v) - acc)
+        }.sum)
+        assert(residual <= tol * math.sqrt(2.0), s"($s,$t) tol $tol: residual $residual")
+        val exact = Dense.erFromPinv(pinv, s, t)
+        assert(approx(x(s) - x(t), exact, 1e-9), s"($s,$t) tol $tol: ${x(s) - x(t)} vs $exact")
+      }
+    }
+  }
 }
