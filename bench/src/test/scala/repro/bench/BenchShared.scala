@@ -1,14 +1,12 @@
 package repro.bench
 
-import org.apache.spark.sql.SparkSession
-
 /** One harness per test JVM so graphs / λ / engines are computed once
   * across all bench suites (Test/parallelExecution is off).
   */
 object BenchShared {
   private var cached: Harness = _
-  def harness(spark: SparkSession): Harness = synchronized {
-    if (cached == null) cached = new Harness(spark)
+  def harness(): Harness = synchronized {
+    if (cached == null) cached = new Harness()
     cached
   }
 

@@ -1,6 +1,6 @@
 package repro.bench
 
-import repro.SparkSpec
+import org.scalatest.funsuite.AnyFunSuite
 import repro.core.{Ell, Geer}
 
 /** Fig. 10 — sensitivity of GEER to the SMM/AMC switch point ℓ_b: the
@@ -12,13 +12,13 @@ import repro.core.{Ell, Geer}
   * minimum — smaller ℓ_b degrades toward AMC, larger ℓ_b wastes
   * matrix–vector multiplies.
   */
-class F10_VaryLbBench extends SparkSpec {
+class F10_VaryLbBench extends AnyFunSuite {
 
   private val offsets = Seq(-6, -4, -2, 0, 2, 4, 6)
   private val datasets = Seq("facebook-lite", "dblp-lite", "livejournal-lite", "orkut-lite")
 
   test("Fig. 10: varying ell_b around the greedy switch point") {
-    val h = BenchShared.harness(spark)
+    val h = BenchShared.harness()
     Seq(0.2, 0.05).foreach { eps =>
       datasets.foreach { name =>
         val g = h.graph(name)

@@ -1,6 +1,6 @@
 package repro.bench
 
-import repro.SparkSpec
+import org.scalatest.funsuite.AnyFunSuite
 import repro.core.Ell
 
 /** Fig. 11 — SMM with our refined ℓ (Eq. 6) vs Peng et al.'s ℓ (Eq. 5),
@@ -11,13 +11,13 @@ import repro.core.Ell
   * paper: 3.3× / 6.7× at ε = 0.5, 2.4× / 3.8× at ε = 0.05, 1.2–2.1×
   * on the low-degree graphs.
   */
-class F11_EllCompareBench extends SparkSpec {
+class F11_EllCompareBench extends AnyFunSuite {
 
   private val datasets = Seq("facebook-lite", "dblp-lite", "youtube-lite",
     "orkut-lite", "livejournal-lite")
 
   test("Fig. 11: our ell vs Peng et al.'s ell in SMM") {
-    val h = BenchShared.harness(spark)
+    val h = BenchShared.harness()
     Seq(0.5, 0.05).foreach { eps =>
       Tables.header(
         f"Fig. 11 — SMM runtime, refined ell (Eq. 6) vs Peng ell (Eq. 5), eps = $eps%.2f",

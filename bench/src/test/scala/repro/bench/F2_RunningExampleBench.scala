@@ -1,6 +1,6 @@
 package repro.bench
 
-import repro.SparkSpec
+import org.scalatest.funsuite.AnyFunSuite
 import repro.core.Amc
 import repro.graph.GraphGen
 
@@ -15,7 +15,7 @@ import repro.graph.GraphGen
   * *shape* ones: η* exceeds #path(s)+#path(t) for small ℓ_f (traversal
   * wins) and is dwarfed by it once ℓ_f grows (sampling wins).
   */
-class F2_RunningExampleBench extends SparkSpec {
+class F2_RunningExampleBench extends AnyFunSuite {
 
   test("Fig. 2 table: #paths vs eta* on the toy graph") {
     val g = GraphGen.toyFig2

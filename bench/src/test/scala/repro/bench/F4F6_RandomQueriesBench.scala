@@ -1,6 +1,6 @@
 package repro.bench
 
-import repro.SparkSpec
+import org.scalatest.funsuite.AnyFunSuite
 import repro.core.PerEstimator
 
 /** Figs. 4 and 6 — query efficiency (avg ms) and accuracy (avg abs error)
@@ -15,10 +15,10 @@ import repro.core.PerEstimator
   * RP and EXACT run on facebook-lite only (they OOM/explode beyond it in
   * the paper; here EXACT's O(n³) is feasible only there too).
   */
-class F4F6_RandomQueriesBench extends SparkSpec {
+class F4F6_RandomQueriesBench extends AnyFunSuite {
 
   test("Fig. 4 + Fig. 6: running time and abs error vs eps, random queries") {
-    val h = BenchShared.harness(spark)
+    val h = BenchShared.harness()
     val fastPairs = 20
     val slowPairs = 2
 
@@ -68,7 +68,7 @@ class F4F6_RandomQueriesBench extends SparkSpec {
   }
 
   test("Fig. 4 headline: GEER beats AMC at eps = 0.02 on friendster-lite") {
-    val h = BenchShared.harness(spark)
+    val h = BenchShared.harness()
     val name = "friendster-lite"
     val pairs = h.randomPairs(name, 5)
     val truth = h.groundTruth(name, pairs)

@@ -1,6 +1,6 @@
 package repro.bench
 
-import repro.SparkSpec
+import org.scalatest.funsuite.AnyFunSuite
 import repro.core.PerEstimator
 
 /** Figs. 5 and 7 — query efficiency and accuracy for edge queries
@@ -13,10 +13,10 @@ import repro.core.PerEstimator
   * >1000× slower than GEER there, and ours would blow the bench budget
   * the same way).
   */
-class F5F7_EdgeQueriesBench extends SparkSpec {
+class F5F7_EdgeQueriesBench extends AnyFunSuite {
 
   test("Fig. 5 + Fig. 7: running time and abs error vs eps, edge queries") {
-    val h = BenchShared.harness(spark)
+    val h = BenchShared.harness()
 
     BenchShared.allAnalogs.foreach { name =>
       val big = name == "friendster-lite" || name == "livejournal-lite"

@@ -1,6 +1,6 @@
 package repro.bench
 
-import repro.SparkSpec
+import org.scalatest.funsuite.AnyFunSuite
 
 /** Figs. 8 and 9 — sensitivity of AMC and GEER to the batch count τ, at
   * ε = 0.2 (Fig. 8) and ε = 0.02 (Fig. 9), on dblp-lite, youtube-lite,
@@ -11,7 +11,7 @@ import repro.SparkSpec
   * small ε; on the high-degree Orkut analog GEER's time *grows* with τ
   * (sampling is already cheap there, extra batches are overhead).
   */
-class F8F9_VaryTauBench extends SparkSpec {
+class F8F9_VaryTauBench extends AnyFunSuite {
 
   private val taus = Seq(1, 2, 3, 5, 8)
 
@@ -28,7 +28,7 @@ class F8F9_VaryTauBench extends SparkSpec {
   }
 
   private def runSweep(eps: Double, pairsPerDs: Int, datasets: Seq[String]): Unit = {
-    val h = BenchShared.harness(spark)
+    val h = BenchShared.harness()
     datasets.foreach { name =>
       val pairs = h.randomPairs(name, pairsPerDs)
       val truth = h.groundTruth(name, pairs)

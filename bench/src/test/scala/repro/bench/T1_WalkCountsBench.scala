@@ -1,6 +1,6 @@
 package repro.bench
 
-import repro.SparkSpec
+import org.scalatest.funsuite.AnyFunSuite
 import repro.core.Ell
 
 /** Table 1 — the complexity comparison, checked empirically: AMC/GEER's
@@ -8,10 +8,10 @@ import repro.core.Ell
   * the §3.3.2 remark that TP exceeds AMC by at least
   * `20ℓ / (1/d(s) + 1/d(t))²`.
   */
-class T1_WalkCountsBench extends SparkSpec {
+class T1_WalkCountsBench extends AnyFunSuite {
 
   test("Table 1: realized walk counts — AMC and GEER vs TP's formula") {
-    val h = BenchShared.harness(spark)
+    val h = BenchShared.harness()
     val eps = 0.1
     Seq("facebook-lite", "dblp-lite", "orkut-lite").foreach { name =>
       val g = h.graph(name)

@@ -1,15 +1,15 @@
 package repro.bench
 
-import repro.SparkSpec
+import org.scalatest.funsuite.AnyFunSuite
 import repro.graph.GraphGen
 
 /** Table 3 — dataset statistics (ours vs the SNAP graphs each analog
   * mimics; substitution rationale in DESIGN.md §3).
   */
-class T3_DatasetStatsBench extends SparkSpec {
+class T3_DatasetStatsBench extends AnyFunSuite {
 
   test("Table 3: statistics of datasets (analogs vs paper)") {
-    val h = BenchShared.harness(spark)
+    val h = BenchShared.harness()
     Tables.header(
       "Table 3 — dataset statistics: our analogs vs the paper's SNAP graphs",
       Seq(f"${"analog"}%-17s", f"${"n"}%8s", f"${"m"}%9s", f"${"avg deg"}%8s",

@@ -1,31 +1,20 @@
 package repro.jobs
 
-import org.apache.spark.sql.SparkSession
-
 import repro.bench.{Harness, Tables}
 import repro.core.{Ell, Geer}
 import repro.graph.GraphGen
 
-/** spark-submit entrypoints, one per reproduced table/figure (DESIGN.md
-  * §4). Each builds its own SparkSession, runs the same harness the
-  * bench suites use, and prints the table to stdout.
-  *
-  * Example:
-  *   spark-submit --class repro.jobs.RandomQueriesJob repro.jar
-  */
-object JobSpark {
-  def session(app: String): SparkSession =
-    SparkSession.builder
-      .master(sys.env.getOrElse("SPARK_MASTER", "local[*]"))
-      .appName(app)
-      .config("spark.sql.autoBroadcastJoinThreshold", -1)
-      .getOrCreate()
-}
+// Entrypoints, one per reproduced table/figure (DESIGN.md §4). Each runs
+// the same harness the bench suites use, in one JVM, and prints the table
+// to stdout. They are plain `main`s, so `spark-submit` can still launch them
+// from the assembled jar:
+//
+//   spark-submit --class repro.jobs.RandomQueriesJob repro.jar
 
 /** Table 3 — dataset statistics. */
 object DatasetStatsJob {
   def main(args: Array[String]): Unit = {
-    val h = new Harness(JobSpark.session("table3-dataset-stats"))
+    val h = new Harness()
     Tables.header("Table 3 — dataset statistics",
       Seq("analog", "n", "m", "avg deg", "lambda"))
     Seq("facebook-lite", "dblp-lite", "youtube-lite",
@@ -41,7 +30,6 @@ object DatasetStatsJob {
 /** Fig. 2 table — running example walk counts vs η*. */
 object RunningExampleJob {
   def main(args: Array[String]): Unit = {
-    JobSpark.session("fig2-running-example") // uniform session bring-up
     val g = GraphGen.toyFig2
     val sVec = new Array[Double](g.n); sVec(0) = 1.0
     val tVec = new Array[Double](g.n); tVec(1) = 1.0
@@ -64,7 +52,7 @@ object RunningExampleJob {
 /** Figs. 4/6 — random-query efficiency and accuracy sweep. */
 object RandomQueriesJob {
   def main(args: Array[String]): Unit = {
-    val h = new Harness(JobSpark.session("fig4-random-queries"))
+    val h = new Harness()
     val datasets = if (args.nonEmpty) args.toSeq else Seq("facebook-lite", "dblp-lite")
     datasets.foreach { name =>
       val pairs = h.randomPairs(name, 20)
@@ -85,7 +73,7 @@ object RandomQueriesJob {
 /** Figs. 5/7 — edge-query efficiency and accuracy sweep. */
 object EdgeQueriesJob {
   def main(args: Array[String]): Unit = {
-    val h = new Harness(JobSpark.session("fig5-edge-queries"))
+    val h = new Harness()
     val datasets = if (args.nonEmpty) args.toSeq else Seq("facebook-lite", "dblp-lite")
     datasets.foreach { name =>
       val edges = h.randomEdges(name, 10)
@@ -106,7 +94,7 @@ object EdgeQueriesJob {
 /** Figs. 8/9 — τ sensitivity. */
 object VaryTauJob {
   def main(args: Array[String]): Unit = {
-    val h = new Harness(JobSpark.session("fig8-9-vary-tau"))
+    val h = new Harness()
     val name = if (args.nonEmpty) args(0) else "dblp-lite"
     Seq(0.2, 0.02).foreach { eps =>
       val pairs = h.randomPairs(name, 5)
@@ -126,7 +114,7 @@ object VaryTauJob {
 /** Fig. 10 — ℓ_b sensitivity around the greedy switch point. */
 object VaryLbJob {
   def main(args: Array[String]): Unit = {
-    val h = new Harness(JobSpark.session("fig10-vary-lb"))
+    val h = new Harness()
     val name = if (args.nonEmpty) args(0) else "facebook-lite"
     val g = h.graph(name); val lam = h.lambda(name)
     val eps = 0.1
@@ -151,7 +139,7 @@ object VaryLbJob {
 /** Fig. 11 — refined ℓ vs Peng et al.'s ℓ in SMM. */
 object EllCompareJob {
   def main(args: Array[String]): Unit = {
-    val h = new Harness(JobSpark.session("fig11-ell-compare"))
+    val h = new Harness()
     Seq(0.5, 0.05).foreach { eps =>
       Tables.header(f"Fig. 11 — SMM with refined vs Peng ell, eps=$eps%.2f",
         Seq("dataset", "ms(peng)", "ms(ours)", "speedup"))

@@ -1,7 +1,5 @@
 package repro.bench
 
-import org.apache.spark.sql.SparkSession
-
 import repro.baselines._
 import repro.core._
 import repro.graph.{CsrGraph, GraphGen, Spectral}
@@ -12,7 +10,7 @@ import repro.graph.{CsrGraph, GraphGen, Spectral}
   * (λ is the paper's per-graph preprocessing, §3.1). All randomness is
   * seeded, so reruns print identical tables.
   */
-final class Harness(spark: SparkSession, seed: Long = 2023L) {
+final class Harness(seed: Long = 2023L) {
 
   /** δ and τ as in the paper's §5.1. */
   val delta = 0.01
@@ -29,7 +27,7 @@ final class Harness(spark: SparkSession, seed: Long = 2023L) {
     lambdaCache.getOrElseUpdate(name, Spectral.lambda(graph(name), tol = 1e-9, maxIter = 3000))
 
   def engine(name: String): WalkEngine =
-    engineCache.getOrElseUpdate(name, new WalkEngine(spark, graph(name)))
+    engineCache.getOrElseUpdate(name, new WalkEngine(graph(name)))
 
   /** The paper's random query workload: `count` uniform pairs (§5.1). */
   def randomPairs(name: String, count: Int = 20): Seq[(Int, Int)] = {

@@ -94,6 +94,9 @@ object Amc {
                sVec: Array[Double], tVec: Array[Double],
                eps: Double, ellF: Int, tau: Int, delta: Double,
                engine: WalkEngine, seed: Long): PerResult = {
+    requireQuery(g, s, t, delta)
+    require(sVec.length == g.n && tVec.length == g.n,
+      s"score vectors have lengths ${sVec.length} and ${tVec.length}, not n = ${g.n}")
     require(tau >= 1 && tau <= 62, s"tau out of range: $tau")
     if (ellF <= 0) return PerResult(0.0)
     val ds = g.degree(s); val dt = g.degree(t)

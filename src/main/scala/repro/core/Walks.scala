@@ -27,13 +27,16 @@ import repro.util.Rng
   * whole chunk, so AMC steps the chunk's walks in lockstep
   * ([[Walks.zSums]]); [[sumAndSumSq]] and [[sumVec]] wrap it for estimators
   * that draw one sample at a time.
-  *
-  * A query's batches are far too small to repay a Spark job's scheduling
-  * cost, so no batch goes to Spark. `spark` is unused; the constructor keeps
-  * it so that callers build an engine as before.
   */
-final class WalkEngine(spark: SparkSession, g: CsrGraph) {
+final class WalkEngine(g: CsrGraph) {
   import WalkEngine._
+
+  /** Compatibility constructor; the session is ignored. Its only caller is
+    * perfbench's `Prepare.run`, which changes only with the benchmark;
+    * ROADMAP item 2's benchmark change moves that caller to
+    * `new WalkEngine(g)` and deletes this constructor.
+    */
+  def this(spark: SparkSession, g: CsrGraph) = this(g)
 
   /** Element-wise sum over the chunks of `count` samples: `chunk(from,
     * until, acc)` adds the samples `from until until` into `acc`, a fresh

@@ -1,7 +1,5 @@
 package repro.graph
 
-import org.apache.spark.sql.DataFrame
-
 /** Compact CSR (compressed sparse row) representation of an undirected,
   * unweighted graph on nodes `0 .. n-1`.
   *
@@ -10,16 +8,14 @@ import org.apache.spark.sql.DataFrame
   * of `u` and `degree(u) = offsets(u+1) - offsets(u)`.
   *
   * The structure is immutable, so the walk engine's threads share one
-  * instance without locking; it is `Serializable`, so Spark tasks can
-  * capture it.
+  * instance without locking.
   *
   * @param offsets length `n + 1`; CSR row pointers.
   * @param neighbors length `2m`; concatenated adjacency lists, each
   *                  sorted ascending (canonical form — makes equality,
   *                  binary-search adjacency tests, and tests deterministic).
   */
-final class CsrGraph private (val offsets: Array[Int], val neighbors: Array[Int])
-    extends Serializable {
+final class CsrGraph private (val offsets: Array[Int], val neighbors: Array[Int]) {
 
   /** Number of nodes. */
   val n: Int = offsets.length - 1
@@ -170,15 +166,5 @@ object CsrGraph {
       i += 1
     }
     new CsrGraph(offsets, neighbors)
-  }
-
-  /** Builds a CSR graph by collecting a Spark edge `DataFrame` with integer
-    * columns `src`, `dst`. Intended for graphs that fit the driver (all our
-    * analogs do); the distributed algorithms operate on the DataFrame form
-    * via [[GraphOps]].
-    */
-  def fromEdgeDf(n: Int, edges: DataFrame): CsrGraph = {
-    val rows = edges.select("src", "dst").collect()
-    fromEdges(n, rows.toSeq.map(r => (r.getInt(0), r.getInt(1))))
   }
 }

@@ -1,6 +1,5 @@
 package repro.graph
 
-import org.apache.spark.sql.{DataFrame, SparkSession}
 import repro.util.Rng
 
 /** Synthetic graph generators — the dataset substrate of the reproduction.
@@ -220,17 +219,5 @@ object GraphGen {
     }
     CsrGraph.fromEdges(n, (core.undirectedEdges ++ extra.result().iterator).toSeq)
       .requireErgodic()
-  }
-
-  // ----------------------------------------------------- DataFrame bridge
-
-  /** Edge list of a CSR graph as a Spark DataFrame (`src`, `dst`; one row
-    * per undirected edge with `src < dst`). The distributed operators in
-    * [[GraphOps]] start from this form.
-    */
-  def toEdgeDf(spark: SparkSession, g: CsrGraph): DataFrame = {
-    import spark.implicits._
-    val edges = g.undirectedEdges.toSeq
-    spark.createDataset(edges).toDF("src", "dst")
   }
 }

@@ -15,7 +15,7 @@ package repro.util
   * steps many walks in lockstep, and starts each walk from `t` where the
   * walk from `s` of the same stream stops.
   */
-final class Rng(seed0: Long) extends Serializable {
+final class Rng(seed0: Long) {
   private var state: Long = seed0
 
   @inline private def nextLong(): Long = {

@@ -1,5 +1,6 @@
 package repro
 
+import org.scalatest.funsuite.AnyFunSuite
 import repro.baselines._
 import repro.core._
 
@@ -7,10 +8,10 @@ import repro.core._
   * exact ER on the same graph — the repo-level analogue of the paper's
   * Figs. 6–7 "all points below the dashed line".
   */
-class EndToEndSpec extends SparkSpec {
+class EndToEndSpec extends AnyFunSuite {
 
   private lazy val f = TestGraphs.toy
-  private lazy val eng = new WalkEngine(spark, f.g)
+  private lazy val eng = new WalkEngine(f.g)
 
   test("random-query methods all land within eps = 0.25 on the toy graph") {
     val eps = 0.25

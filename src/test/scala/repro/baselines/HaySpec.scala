@@ -1,10 +1,11 @@
 package repro.baselines
 
-import repro.{SparkSpec, TestGraphs}
+import org.scalatest.funsuite.AnyFunSuite
+import repro.TestGraphs
 import repro.core.WalkEngine
 import repro.util.Rng
 
-class HaySpec extends SparkSpec {
+class HaySpec extends AnyFunSuite {
 
   test("Wilson sample is a spanning tree: n-1 edges, all reach root") {
     val f = TestGraphs.ba300
@@ -26,14 +27,14 @@ class HaySpec extends SparkSpec {
 
   test("HAY rejects non-edge queries") {
     val f = TestGraphs.cycle9
-    val eng = new WalkEngine(spark, f.g)
+    val eng = new WalkEngine(f.g)
     val hay = new HayEstimator(f.g, 0.01, eng, seed = 1)
     intercept[IllegalArgumentException](hay.query(0, 3, 0.5))
   }
 
   test("UST edge marginal equals ER: cycle edge r = (n-1)/n") {
     val f = TestGraphs.cycle9
-    val eng = new WalkEngine(spark, f.g)
+    val eng = new WalkEngine(f.g)
     val hay = new HayEstimator(f.g, 0.01, eng, seed = 2)
     val r = hay.query(0, 1, 0.1)
     assert(math.abs(r.estimate - 8.0 / 9) <= 0.1, s"${r.estimate}")
@@ -41,7 +42,7 @@ class HaySpec extends SparkSpec {
 
   test("UST edge marginal equals ER: complete graph edge r = 2/n") {
     val f = TestGraphs.complete10
-    val eng = new WalkEngine(spark, f.g)
+    val eng = new WalkEngine(f.g)
     val hay = new HayEstimator(f.g, 0.01, eng, seed = 3)
     val r = hay.query(0, 5, 0.1)
     assert(math.abs(r.estimate - 0.2) <= 0.1, s"${r.estimate}")
@@ -49,7 +50,7 @@ class HaySpec extends SparkSpec {
 
   test("HAY is eps-accurate on toy graph edges") {
     val f = TestGraphs.toy
-    val eng = new WalkEngine(spark, f.g)
+    val eng = new WalkEngine(f.g)
     val hay = new HayEstimator(f.g, 0.01, eng, seed = 4)
     TestGraphs.edgePairs(f.g, 5).foreach { case (u, v) =>
       val r = hay.query(u, v, 0.15)
@@ -61,7 +62,7 @@ class HaySpec extends SparkSpec {
   test("path graph: every edge is in every spanning tree (r = 1)") {
     // A path is its own unique spanning tree.
     val g = repro.graph.GraphGen.path(6)
-    val eng = new WalkEngine(spark, g)
+    val eng = new WalkEngine(g)
     val hay = new HayEstimator(g, 0.01, eng, seed = 5)
     val r = hay.query(2, 3, 0.1)
     assert(r.estimate == 1.0)

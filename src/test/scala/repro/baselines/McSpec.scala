@@ -1,13 +1,14 @@
 package repro.baselines
 
-import repro.{SparkSpec, TestGraphs}
+import org.scalatest.funsuite.AnyFunSuite
+import repro.TestGraphs
 import repro.core.WalkEngine
 
-class McSpec extends SparkSpec {
+class McSpec extends AnyFunSuite {
 
   test("MC (escape probability form) is eps-accurate on small graphs") {
     Seq(TestGraphs.toy, TestGraphs.complete10, TestGraphs.cycle9).foreach { f =>
-      val eng = new WalkEngine(spark, f.g)
+      val eng = new WalkEngine(f.g)
       val mc = new McEstimator(f.g, 0.01, eng, seed = 1, gamma = 2.0, scale = 1.0)
       TestGraphs.pairs(f.g, 3).foreach { case (s, t) =>
         val r = mc.query(s, t, 0.3)
@@ -19,14 +20,14 @@ class McSpec extends SparkSpec {
 
   test("MC returns 0 for s = t") {
     val f = TestGraphs.toy
-    val eng = new WalkEngine(spark, f.g)
+    val eng = new WalkEngine(f.g)
     val mc = new McEstimator(f.g, 0.01, eng, seed = 1)
     assert(mc.query(5, 5, 0.5).estimate == 0.0)
   }
 
   test("MC walk accounting matches eta formula") {
     val f = TestGraphs.toy
-    val eng = new WalkEngine(spark, f.g)
+    val eng = new WalkEngine(f.g)
     val gamma = 1.0; val delta = 0.01; val eps = 0.5
     val mc = new McEstimator(f.g, delta, eng, seed = 1, gamma = gamma)
     val r = mc.query(0, 1, eps)
@@ -38,7 +39,7 @@ class McSpec extends SparkSpec {
     // On K_n, P[excursion from s visits t] = 1/(d(s) r) = (n-1)/ (n·2/2) ...
     // just verify the estimator lands near 2/n with plenty of samples.
     val f = TestGraphs.complete25
-    val eng = new WalkEngine(spark, f.g)
+    val eng = new WalkEngine(f.g)
     val mc = new McEstimator(f.g, 0.01, eng, seed = 8, gamma = 1.0)
     val r = mc.query(0, 12, 0.1)
     assert(math.abs(r.estimate - 2.0 / 25) <= 0.1)

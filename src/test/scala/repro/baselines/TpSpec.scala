@@ -1,13 +1,14 @@
 package repro.baselines
 
-import repro.{SparkSpec, TestGraphs}
+import org.scalatest.funsuite.AnyFunSuite
+import repro.TestGraphs
 import repro.core.{Ell, WalkEngine}
 
-class TpSpec extends SparkSpec {
+class TpSpec extends AnyFunSuite {
 
   test("TP is eps-accurate on the toy graph (scaled-down constant)") {
     val f = TestGraphs.toy
-    val eng = new WalkEngine(spark, f.g)
+    val eng = new WalkEngine(f.g)
     val tp = new TpEstimator(f.g, f.lambda, 0.01, eng, seed = 1, scale = 0.01, minWalks = 2000)
     for {
       eps <- Seq(0.5, 0.2)
@@ -21,7 +22,7 @@ class TpSpec extends SparkSpec {
 
   test("TP is eps-accurate on K10 and K25") {
     Seq(TestGraphs.complete10, TestGraphs.complete25).foreach { f =>
-      val eng = new WalkEngine(spark, f.g)
+      val eng = new WalkEngine(f.g)
       val tp = new TpEstimator(f.g, f.lambda, 0.01, eng, seed = 3, scale = 0.01, minWalks = 2000)
       TestGraphs.pairs(f.g, 3).foreach { case (s, t) =>
         val r = tp.query(s, t, 0.3)
@@ -33,7 +34,7 @@ class TpSpec extends SparkSpec {
 
   test("TP walk count matches 2 * eta * ell") {
     val f = TestGraphs.toy
-    val eng = new WalkEngine(spark, f.g)
+    val eng = new WalkEngine(f.g)
     val tp = new TpEstimator(f.g, f.lambda, 0.01, eng, seed = 1, scale = 0.0, minWalks = 500)
     val eps = 0.5
     val r = tp.query(0, 1, eps)
@@ -46,7 +47,7 @@ class TpSpec extends SparkSpec {
     val eps = 0.2; val delta = 0.01
     val ell = Ell.peng(eps, f.lambda)
     val tpFaithfulPerLen = 40.0 * ell * ell * math.log(8.0 * ell / delta) / (eps * eps)
-    val eng = new WalkEngine(spark, f.g)
+    val eng = new WalkEngine(f.g)
     val amc = repro.core.Amc.query(f.g, f.lambda, 0, 1, eps, delta, 5, eng, seed = 9)
     assert(tpFaithfulPerLen * 2 * ell > 20.0 * ell * amc.walks,
       s"TP=${tpFaithfulPerLen * 2 * ell} AMC=${amc.walks}")
@@ -54,7 +55,7 @@ class TpSpec extends SparkSpec {
 
   test("TP returns 0 for s = t") {
     val f = TestGraphs.toy
-    val eng = new WalkEngine(spark, f.g)
+    val eng = new WalkEngine(f.g)
     val tp = new TpEstimator(f.g, f.lambda, 0.01, eng, seed = 1, scale = 0.001)
     assert(tp.query(2, 2, 0.5).estimate == 0.0)
   }

@@ -1,8 +1,9 @@
 package repro.baselines
 
-import repro.{SparkSpec, TestGraphs}
+import org.scalatest.funsuite.AnyFunSuite
+import repro.TestGraphs
 
-class TpcSpec extends SparkSpec {
+class TpcSpec extends AnyFunSuite {
 
   test("TPC is eps-accurate on the toy graph (scaled-down constant)") {
     val f = TestGraphs.toy

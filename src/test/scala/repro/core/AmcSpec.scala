@@ -3,13 +3,14 @@ package repro.core
 import scala.concurrent.{Await, ExecutionContext, Future}
 import scala.concurrent.duration._
 
-import repro.{SparkSpec, TestGraphs}
+import org.scalatest.funsuite.AnyFunSuite
+import repro.TestGraphs
 import repro.graph.GraphGen
 
-class AmcSpec extends SparkSpec {
+class AmcSpec extends AnyFunSuite {
 
-  private lazy val engine = new WalkEngine(spark, GraphGen.toyFig2)
-  private def engineFor(g: repro.graph.CsrGraph) = new WalkEngine(spark, g)
+  private lazy val engine = new WalkEngine(GraphGen.toyFig2)
+  private def engineFor(g: repro.graph.CsrGraph) = new WalkEngine(g)
 
   test("topTwo finds the two largest values") {
     assert(Amc.topTwo(Array(0.1, 0.9, 0.4, 0.9, 0.0)) == (0.9, 0.9))
@@ -224,6 +225,40 @@ class AmcSpec extends SparkSpec {
     // overflow, so bound the wait instead of hanging.
     val run = Future(Amc.estimate(g, 0, 1, sVec, tVec, eps, ellF, tau, delta, engine, 1))(ExecutionContext.global)
     intercept[IllegalArgumentException](Await.result(run, 60.seconds))
+  }
+
+  test("estimate rejects node ids outside [0, n)") {
+    val g = GraphGen.toyFig2
+    val n = g.n
+    val v = Array.fill(n)(1.0)
+    Seq((-1, 0), (0, -1), (n, 0), (0, n)).foreach { case (s, t) =>
+      val e = intercept[IllegalArgumentException](Amc.estimate(g, s, t, v, v, 0.2, 4, 5, 0.01, engine, 1))
+      assert(e.getMessage.contains("outside the node range"), s"($s,$t): ${e.getMessage}")
+    }
+  }
+
+  test("estimate rejects delta outside (0, 1)") {
+    val g = GraphGen.toyFig2
+    val sVec = new Array[Double](g.n); sVec(0) = 1.0
+    val tVec = new Array[Double](g.n); tVec(1) = 1.0
+    Seq(0.0, -0.5, 1.0, 1.5, Double.NaN).foreach { delta =>
+      val e = intercept[IllegalArgumentException](
+        Amc.estimate(g, 0, 1, sVec, tVec, 0.2, 4, 5, delta, engine, 1))
+      assert(e.getMessage.contains("is outside (0, 1)"), s"delta=$delta: ${e.getMessage}")
+    }
+  }
+
+  test("estimate rejects score vectors whose length is not n") {
+    val g = GraphGen.toyFig2
+    val ok = new Array[Double](g.n); ok(0) = 1.0
+    Seq(g.n - 1, g.n + 1).foreach { len =>
+      val bad = new Array[Double](len); bad(1) = 1.0
+      Seq((ok, bad), (bad, ok)).foreach { case (sVec, tVec) =>
+        val e = intercept[IllegalArgumentException](
+          Amc.estimate(g, 0, 1, sVec, tVec, 0.2, 4, 5, 0.01, engine, 1))
+        assert(e.getMessage.contains(s"not n = ${g.n}"), s"length $len: ${e.getMessage}")
+      }
+    }
   }
 
   test("AmcEstimator wraps query with timing") {

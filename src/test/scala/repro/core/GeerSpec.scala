@@ -1,11 +1,12 @@
 package repro.core
 
-import repro.{SparkSpec, TestGraphs}
+import org.scalatest.funsuite.AnyFunSuite
+import repro.TestGraphs
 import repro.graph.GraphGen
 
-class GeerSpec extends SparkSpec {
+class GeerSpec extends AnyFunSuite {
 
-  private def engineFor(g: repro.graph.CsrGraph) = new WalkEngine(spark, g)
+  private def engineFor(g: repro.graph.CsrGraph) = new WalkEngine(g)
 
   test("query returns 0 for s = t") {
     val f = TestGraphs.toy

@@ -2,11 +2,12 @@ package repro.core
 
 import java.util.concurrent.{Callable, ForkJoinPool}
 
-import repro.{SparkSpec, TestGraphs}
+import org.scalatest.funsuite.AnyFunSuite
+import repro.TestGraphs
 import repro.graph.{CsrGraph, GraphGen}
 import repro.util.Rng
 
-class WalksSpec extends SparkSpec {
+class WalksSpec extends AnyFunSuite {
   import WalksSpec.{inPool, walkSum, zSample}
 
   private lazy val toy = GraphGen.toyFig2
@@ -122,7 +123,7 @@ class WalksSpec extends SparkSpec {
   test("engine sumAndSumSq is bit-identical on 1 and 4 threads and matches a chunked serial sum") {
     assert(WalkEngine.runsInline(inlineMax, steps) && !WalkEngine.runsInline(inlineMax + 1, steps))
     assert(inlineMax + 1 > 2L * C, "the parallel batch must span several chunks")
-    val eng = new WalkEngine(spark, toy)
+    val eng = new WalkEngine(toy)
     counts.foreach { count =>
       val seed = 13 + count
       val one = inPool(1)(eng.sumAndSumSq(count, seed, steps)(roundingSample))
@@ -135,7 +136,7 @@ class WalksSpec extends SparkSpec {
   }
 
   test("engine sumVec is bit-identical on 1 and 4 threads and matches a chunked serial sum") {
-    val eng = new WalkEngine(spark, toy)
+    val eng = new WalkEngine(toy)
     counts.foreach { count =>
       val seed = 17 + count
       val one = inPool(1)(eng.sumVec(count, seed, dim = 3, steps)(vecSample))
@@ -153,7 +154,7 @@ class WalksSpec extends SparkSpec {
   // distributed path spreads them over the pool's workers. `stepsPerSample`
   // is only a cost hint, so 0 forces the same batch inline.
   test("engine local and distributed paths produce identical sums") {
-    val eng = new WalkEngine(spark, toy)
+    val eng = new WalkEngine(toy)
     def sample(graph: CsrGraph, rng: Rng): Double = Walks.endpoint(graph, 0, 5, rng).toDouble
     assert(WalkEngine.runsInline(5000, 0) && !WalkEngine.runsInline(5000, 5))
     val (a, a2) = inPool(4)(eng.sumAndSumSq(5000, seed = 13, stepsPerSample = 0)(sample))
@@ -162,7 +163,7 @@ class WalksSpec extends SparkSpec {
   }
 
   test("engine sumVec local and distributed agree") {
-    val eng = new WalkEngine(spark, toy)
+    val eng = new WalkEngine(toy)
     def sample(graph: CsrGraph, rng: Rng, acc: Array[Double]): Unit = {
       val e = Walks.endpoint(graph, 1, 4, rng)
       acc(e % 3) += 1.0
@@ -234,7 +235,7 @@ class WalksSpec extends SparkSpec {
     val (sVec, tVec) = smmVectors(g, s, t, 2)
     val dsInv = 1.0 / g.degree(s); val dtInv = 1.0 / g.degree(t)
     val len = 6
-    val eng = new WalkEngine(spark, g)
+    val eng = new WalkEngine(g)
     val perSample = WalkEngine.InlineSteps / (2L * len)
     Seq(0L, 1L, C - 1L, C.toLong, C + 1L, 55L, perSample, perSample + 1).foreach { count =>
       val seed = 29 + count
@@ -256,7 +257,7 @@ class WalksSpec extends SparkSpec {
     val g = f.g
     val (s, t) = TestGraphs.pairs(g, 1).head
     val (sVec, tVec) = smmVectors(g, s, t, 2)
-    val eng = new WalkEngine(spark, g)
+    val eng = new WalkEngine(g)
     val (eps, ellF, delta, seed) = (0.1, 12, 0.01, 43L)
     Seq(1, 5).foreach { tau =>
       def run(threads: Int): PerResult =
@@ -283,14 +284,14 @@ class WalksSpec extends SparkSpec {
   }
 
   test("engine rejects a negative or oversized sample count") {
-    val eng = new WalkEngine(spark, toy)
+    val eng = new WalkEngine(toy)
     intercept[IllegalArgumentException](eng.sumAndSumSq(-1L, 1, 1)((_, _) => 1.0))
     intercept[IllegalArgumentException](eng.sumVec(WalkEngine.MaxCount + 1, 1, 1, 1)((_, _, _) => ()))
   }
 
   test("engine respects count: sums scale linearly-ish") {
     val g = TestGraphs.complete10.g
-    val eng = new WalkEngine(spark, g)
+    val eng = new WalkEngine(g)
     val (one, _) = eng.sumAndSumSq(1000, 3, 1)((_, _) => 1.0)
     assert(one == 1000.0)
   }

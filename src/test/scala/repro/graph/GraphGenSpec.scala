@@ -4,6 +4,10 @@ import org.scalatest.funsuite.AnyFunSuite
 
 class GraphGenSpec extends AnyFunSuite {
 
+  /** Each dataset analog, built once for the tests that read them. */
+  private lazy val analogGraphs: Map[String, CsrGraph] =
+    GraphGen.analogs.keys.map(name => name -> GraphGen.datasetAnalog(name)).toMap
+
   test("path(n): n-1 edges, endpoint degrees 1, inner degrees 2") {
     val g = GraphGen.path(8)
     assert(g.n == 8 && g.m == 7)
@@ -88,7 +92,7 @@ class GraphGenSpec extends AnyFunSuite {
 
   test("all dataset analogs are ergodic with the intended average degree") {
     GraphGen.analogs.foreach { case (name, (n, mA)) =>
-      val g = GraphGen.datasetAnalog(name)
+      val g = analogGraphs(name)
       assert(g.n == n, name)
       assert(g.isConnected && !g.isBipartite, name)
       val target = 2.0 * mA
@@ -98,7 +102,7 @@ class GraphGenSpec extends AnyFunSuite {
   }
 
   test("analog average degrees are ordered like the paper's Table 3") {
-    def avg(name: String) = GraphGen.datasetAnalog(name).avgDegree
+    def avg(name: String) = analogGraphs(name).avgDegree
     assert(avg("orkut-lite") > avg("friendster-lite"))
     assert(avg("friendster-lite") > avg("livejournal-lite"))
     assert(avg("livejournal-lite") > avg("dblp-lite"))
@@ -111,7 +115,7 @@ class GraphGenSpec extends AnyFunSuite {
   }
 
   test("datasetAnalog is deterministic per name") {
-    val a = GraphGen.datasetAnalog("facebook-lite")
+    val a = analogGraphs("facebook-lite")
     val b = GraphGen.datasetAnalog("facebook-lite")
     assert(a.m == b.m && a.neighbors.toSeq == b.neighbors.toSeq)
   }
