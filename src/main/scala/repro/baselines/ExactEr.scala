@@ -1,6 +1,6 @@
 package repro.baselines
 
-import repro.core.{PerEstimator, PerResult}
+import repro.core.{Amc, PerEstimator, PerResult}
 import repro.graph.CsrGraph
 import repro.linalg.Dense
 
@@ -20,6 +20,7 @@ final class ExactEstimator(g: CsrGraph) extends PerEstimator {
   }
 
   def query(s: Int, t: Int, eps: Double): PerResult = timed {
+    Amc.requireNodes(g, s, t)
     PerResult(Dense.erFromPinv(pinv, s, t))
   }
 }

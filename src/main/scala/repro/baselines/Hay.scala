@@ -1,6 +1,6 @@
 package repro.baselines
 
-import repro.core.{PerEstimator, PerResult, WalkEngine, Walks}
+import repro.core.{Amc, PerEstimator, PerResult, WalkEngine, Walks}
 import repro.graph.CsrGraph
 import repro.util.Rng
 
@@ -17,8 +17,10 @@ import repro.util.Rng
 final class HayEstimator(g: CsrGraph, delta: Double, engine: WalkEngine, seed: Long,
                          scale: Double = 1.0) extends PerEstimator {
   val name = "HAY"
+  Amc.requireDelta(delta)
 
   def query(s: Int, t: Int, eps: Double): PerResult = timed {
+    Amc.requireNodes(g, s, t)
     require(g.hasEdge(s, t), s"HAY answers edge queries only; ($s,$t) is not an edge")
     val nTrees = math.max(50L,
       math.ceil(scale * math.log(2.0 / delta) / (2.0 * eps * eps)).toLong)

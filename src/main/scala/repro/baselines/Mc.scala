@@ -1,6 +1,6 @@
 package repro.baselines
 
-import repro.core.{PerEstimator, PerResult, WalkEngine, Walks}
+import repro.core.{Amc, PerEstimator, PerResult, WalkEngine, Walks}
 import repro.graph.CsrGraph
 import repro.util.Rng
 
@@ -22,8 +22,10 @@ final class McEstimator(g: CsrGraph, delta: Double, engine: WalkEngine, seed: Lo
                         gamma: Double = 1.0, scale: Double = 1.0,
                         maxStepsFactor: Double = 50.0) extends PerEstimator {
   val name = "MC"
+  Amc.requireDelta(delta)
 
   def query(s: Int, t: Int, eps: Double): PerResult = timed {
+    Amc.requireNodes(g, s, t)
     if (s == t) PerResult(0.0)
     else {
       val ds = g.degree(s)

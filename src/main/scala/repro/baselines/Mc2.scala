@@ -1,6 +1,6 @@
 package repro.baselines
 
-import repro.core.{PerEstimator, PerResult, WalkEngine, Walks}
+import repro.core.{Amc, PerEstimator, PerResult, WalkEngine, Walks}
 import repro.graph.CsrGraph
 import repro.util.Rng
 
@@ -21,8 +21,10 @@ final class Mc2Estimator(g: CsrGraph, delta: Double, engine: WalkEngine, seed: L
                          scale: Double = 1.0, maxStepsFactor: Double = 50.0)
     extends PerEstimator {
   val name = "MC2"
+  Amc.requireDelta(delta)
 
   def query(s: Int, t: Int, eps: Double): PerResult = timed {
+    Amc.requireNodes(g, s, t)
     require(g.hasEdge(s, t), s"MC2 answers edge queries only; ($s,$t) is not an edge")
     val gamma = 1.0 / math.min(g.degree(s), g.degree(t))
     val etaFaithful = 3.0 * math.log(1.0 / delta) / (eps * eps * gamma)

@@ -1,6 +1,6 @@
 package repro.baselines
 
-import repro.core.{PerEstimator, PerResult}
+import repro.core.{Amc, PerEstimator, PerResult}
 import repro.graph.CsrGraph
 import repro.linalg.Dense
 import repro.util.Rng
@@ -52,6 +52,7 @@ final class RpEstimator(g: CsrGraph, eps0: Double, seed: Long, kCap: Int = 2000)
   }
 
   def query(s: Int, t: Int, eps: Double): PerResult = timed {
+    Amc.requireNodes(g, s, t)
     var acc = 0.0
     var j = 0
     while (j < k) {

@@ -1,6 +1,6 @@
 package repro.baselines
 
-import repro.core.{Ell, PerEstimator, PerResult, WalkEngine, Walks}
+import repro.core.{Amc, Ell, PerEstimator, PerResult, WalkEngine, Walks}
 import repro.graph.CsrGraph
 import repro.util.Rng
 
@@ -22,8 +22,10 @@ final class TpEstimator(g: CsrGraph, lambda: Double, delta: Double,
                         scale: Double = 1.0, minWalks: Long = 100L,
                         maxWalksPerLen: Long = Long.MaxValue) extends PerEstimator {
   val name = "TP"
+  Amc.requireDelta(delta)
 
   def query(s: Int, t: Int, eps: Double): PerResult = timed {
+    Amc.requireNodes(g, s, t)
     if (s == t) PerResult(0.0)
     else {
       val ell = Ell.peng(eps, lambda)

@@ -2,7 +2,7 @@ package repro.baselines
 
 import scala.collection.mutable
 
-import repro.core.{Ell, PerEstimator, PerResult, Walks}
+import repro.core.{Amc, Ell, PerEstimator, PerResult, Walks}
 import repro.graph.CsrGraph
 import repro.util.Rng
 
@@ -28,8 +28,10 @@ final class TpcEstimator(g: CsrGraph, lambda: Double, delta: Double,
                          minWalks: Long = 100L, maxWalksPerLen: Long = 5_000_000L)
     extends PerEstimator {
   val name = "TPC"
+  Amc.requireDelta(delta)
 
   def query(s: Int, t: Int, eps: Double): PerResult = timed {
+    Amc.requireNodes(g, s, t)
     if (s == t) PerResult(0.0)
     else {
       val ell = Ell.peng(eps, lambda)

@@ -58,13 +58,16 @@ object Amc {
   }
 
   /** Fails unless `s` and `t` are nodes of `g` and `0 < δ < 1`: the checks
-    * of every query entry point.
+    * of every query entry point (the baselines check δ on construction).
     */
-  private[core] def requireQuery(g: CsrGraph, s: Int, t: Int, delta: Double): Unit = {
+  private[repro] def requireQuery(g: CsrGraph, s: Int, t: Int, delta: Double): Unit = {
+    requireNodes(g, s, t); requireDelta(delta)
+  }
+  private[repro] def requireNodes(g: CsrGraph, s: Int, t: Int): Unit =
     require(s >= 0 && s < g.n && t >= 0 && t < g.n,
       s"query pair ($s, $t) is outside the node range [0, ${g.n})")
+  private[repro] def requireDelta(delta: Double): Unit =
     require(delta > 0.0 && delta < 1.0, s"delta = $delta is outside (0, 1)")
-  }
 
   /** The two largest values of a non-negative vector. */
   def topTwo(x: Array[Double]): (Double, Double) = {
@@ -99,11 +102,10 @@ object Amc {
       s"score vectors have lengths ${sVec.length} and ${tVec.length}, not n = ${g.n}")
     require(tau >= 1 && tau <= 62, s"tau out of range: $tau")
     if (ellF <= 0) return PerResult(0.0)
-    val ds = g.degree(s); val dt = g.degree(t)
-    val dsInv = 1.0 / ds; val dtInv = 1.0 / dt
-    val psiV = psi(sVec, tVec, ds, dt, ellF)
+    val psiV = psi(sVec, tVec, g.degree(s), g.degree(t), ellF)
     if (psiV <= 0.0) return PerResult(0.0)
     val eta0 = firstBatch(etaStar(psiV, eps, tau, delta), tau)
+    val w = Walks.scores(g, s, t, sVec, tVec)
 
     var z = 0.0
     var totalWalks = 0L
@@ -114,7 +116,7 @@ object Amc {
       val eta = eta0 << (i - 1)
       val batchSeed = repro.util.Rng.derive(seed, 0x5EEDL + i)
       val sums = engine.sumChunks(eta, 2, 2L * ellF) { (from, until, acc) =>
-        Walks.zSums(g, s, t, ellF, batchSeed, from, until, sVec, tVec, dsInv, dtInv, acc)
+        Walks.zSums(g, s, t, ellF, batchSeed, from, until, w, acc)
       }
       val sumZ = sums(0); val sumZ2 = sums(1)
       totalWalks += 2L * eta // a walk from s and a walk from t per sample

@@ -64,12 +64,11 @@ object Geer {
     * never beyond `ℓ` iterations.
     */
   private def advanceGreedily(st: Smm.State, ell: Int, eps: Double, delta: Double, tau: Int): Unit = {
-    val ds = st.g.degree(st.s); val dt = st.g.degree(st.t)
     var stop = false
     while (!stop && st.iters < ell) {
       st.advance()
       if (st.iters < ell) {
-        val psiV = Amc.psi(st.sStar, st.tStar, ds, dt, ell - st.iters)
+        val psiV = st.psi(ell - st.iters)
         val budget = if (psiV <= 0.0) 0L else Amc.h(psiV, eps, tau, delta)
         stop = st.frontierCost > budget
       }

@@ -16,20 +16,26 @@ object Smm {
 
   /** Mutable SMM state, advanced one iteration at a time so GEER can
     * interleave the greedy switch test (Eq. 17) between iterations.
+    *
+    * An advance costs O(front): the degrees of the supports it scatters
+    * from. The O(n) arrays, two dense buffers per vector and a stamp array,
+    * are allocated once per State.
     */
   final class State(val g: CsrGraph, val s: Int, val t: Int) {
     val n: Int = g.n
     private val dsInv = 1.0 / g.degree(s)
     private val dtInv = 1.0 / g.degree(t)
+    private val stamp = new Array[Int](n) // stamp(v) == epoch: v touched by this multiply
+    private var epoch = 0
+    private val sSide = new Side(s)
+    private val tSide = new Side(t)
 
-    /** `s*` and `t*` as dense arrays (sparse in the early iterations). */
-    val sStar = new Array[Double](n)
-    val tStar = new Array[Double](n)
-    /** Non-zero supports `V_s`, `V_t` (monotone under P for connected G). */
-    private var sFront: Array[Int] = Array(s)
-    private var tFront: Array[Int] = Array(t)
-    sStar(s) = 1.0
-    tStar(t) = 1.0
+    /** `s*` and `t*` as dense arrays, zero off their supports. Each is the
+      * current buffer, which [[advance]] reuses: a reference held across an
+      * advance no longer shows the vector.
+      */
+    def sStar: Array[Double] = sSide.x
+    def tStar: Array[Double] = tSide.x
 
     /** Iterations performed so far (ℓ_b). */
     var iters: Int = 0
@@ -43,54 +49,68 @@ object Smm {
     /** `Σ_{v∈V_s} d(v) + Σ_{v∈V_t} d(v)` — the operation count of the next
       * multiply, the left-hand side of the greedy rule (Eq. 17).
       */
-    def frontierCost: Long = {
-      var acc = 0L
-      var i = 0
-      while (i < sFront.length) { acc += g.degree(sFront(i)); i += 1 }
-      i = 0
-      while (i < tFront.length) { acc += g.degree(tFront(i)); i += 1 }
-      acc
-    }
+    def frontierCost: Long = sSide.cost + tSide.cost
+
+    /** `Amc.psi(sStar, tStar, d(s), d(t), ellF)`, from the supports' top two. */
+    private[core] def psi(ellF: Int): Double = Amc.psi(sSide.top, tSide.top, g.degree(s), g.degree(t), ellF)
 
     /** One iteration: `s* ← P s*`, `t* ← P t*`, accumulate the new term. */
     def advance(): Unit = {
-      sFront = multiply(sStar, sFront)
-      tFront = multiply(tStar, tFront)
+      sSide.multiply()
+      tSide.multiply()
       rB += term
       iters += 1
     }
 
-    /** Sparse `x ← P x` via scatter from the non-zero support: every
-      * neighbour `v` of a support node `u` gains `x(u)`, then touched
-      * entries are scaled by `1/d(v)`. Returns the new support.
+    /** `x = Pⁱ e_start` with its support `front(0 until size)` in
+      * first-touch order, the support's degree sum and two largest values.
       */
-    private def multiply(x: Array[Double], front: Array[Int]): Array[Int] = {
-      val y = new Array[Double](n)
-      val touched = new java.util.ArrayList[Int](front.length * 4)
-      val seen = new Array[Boolean](n)
-      var i = 0
-      while (i < front.length) {
-        val u = front(i)
-        val xu = x(u)
-        var j = g.offsets(u)
-        while (j < g.offsets(u + 1)) {
-          val v = g.neighbors(j)
-          if (!seen(v)) { seen(v) = true; touched.add(v) }
-          y(v) += xu
-          j += 1
+    private final class Side(start: Int) {
+      var x, y = new Array[Double](n) // y is all zero between multiplies
+      var front, next = Array(start)
+      var size = 1; var cost: Long = g.degree(start)
+      val top = Array(1.0, 0.0) // the two largest entries of x
+      x(start) = 1.0
+
+      /** Sparse `x ← P x` via scatter from the support: every neighbour `v`
+        * of a support node `u` gains `x(u)` in `y`, then touched entries are
+        * scaled by `1/d(v)`. `x` is zeroed as it is read; the buffers swap.
+        */
+      def multiply(): Unit = {
+        epoch += 1
+        var len = 0
+        var i = 0
+        while (i < size) {
+          val u = front(i)
+          val xu = x(u)
+          x(u) = 0.0
+          var j = g.offsets(u)
+          while (j < g.offsets(u + 1)) {
+            val v = g.neighbors(j)
+            if (stamp(v) != epoch) {
+              stamp(v) = epoch
+              if (len == next.length) next = java.util.Arrays.copyOf(next, 2 * len)
+              next(len) = v; len += 1
+            }
+            y(v) += xu
+            j += 1
+          }
+          i += 1
         }
-        i += 1
+        var m1, m2 = Double.NegativeInfinity
+        cost = 0L
+        var k = 0
+        while (k < len) {
+          val v = next(k)
+          y(v) /= g.degree(v)
+          cost += g.degree(v)
+          if (y(v) > m1) { m2 = m1; m1 = y(v) } else if (y(v) > m2) m2 = y(v)
+          k += 1
+        }
+        top(0) = math.max(m1, 0.0); top(1) = math.max(m2, 0.0)
+        val nx = y; y = x; x = nx
+        val nf = next; next = front; front = nf; size = len
       }
-      val newFront = new Array[Int](touched.size())
-      var k = 0
-      while (k < touched.size()) {
-        val v = touched.get(k)
-        y(v) /= g.degree(v)
-        newFront(k) = v
-        k += 1
-      }
-      System.arraycopy(y, 0, x, 0, n)
-      newFront
     }
   }
 

@@ -136,12 +136,30 @@ object Walks {
     cur
   }
 
+  /** AMC's per-node score `w(v) = sVec(v)·(1/d(s)) + tVec(v)·(−1/d(t))`,
+    * the term a walk from `s` adds at `v` (Eq. 11), as [[zSums]] reads it.
+    */
+  def scores(g: CsrGraph, s: Int, t: Int, sVec: Array[Double], tVec: Array[Double]): Array[Double] = {
+    val sCoef = 1.0 / g.degree(s); val tCoef = -(1.0 / g.degree(t))
+    val w = new Array[Double](sVec.length)
+    var v = 0
+    while (v < w.length) { w(v) = sVec(v) * sCoef + tVec(v) * tCoef; v += 1 }
+    w
+  }
+
   /** Σ z and Σ z² over the AMC samples `from until until` of a batch, added
     * into `out(0)` and `out(1)` in sample order. Sample `k`'s `Z_k` (Eq. 11)
-    * is a length-`len` walk from `s` whose visited nodes `w₁..w_len` (start
-    * excluded, Lemma 3.3) score `s(u)/d(s) − t(u)/d(t)`, plus a walk from
-    * `t` scored by the negated coefficients; `dsInv = 1/d(s)`,
-    * `dtInv = 1/d(t)`.
+    * is a length-`len` walk from `s` whose visited nodes (start excluded,
+    * Lemma 3.3) each score `w(u)` ([[scores]]), plus a walk from `t` scored
+    * by `−w(u)`. The kernel adds `w` along both walks, one load and no
+    * multiply per step, and takes `z = a_s − a_t` of the two walk sums. That
+    * has the bits of `fromS + fromT` summed from the two-vector terms
+    * `s(u)·(∓1/d(s)) + t(u)·(±1/d(t))`: in IEEE round-to-nearest
+    * `(−a)·b = −(a·b)` and `(−x) + (−y) = −(x + y)`, so the `t` walk's terms
+    * and running sums are those of `w` negated, except that a zero is +0
+    * where negation gives −0; and no walk sum is −0 (it starts at +0, and a
+    * rounded sum is −0 only when both addends are), so `a_s` plus +0 or −0
+    * is the same.
     *
     * Both walks of sample `k` draw from the one stream `Rng(seed, k)`, the
     * walk from `s` first, so the walk from `t` starts at that counter skipped
@@ -149,12 +167,11 @@ object Walks {
     * walk of the range by one step per pass, keeping node, RNG counter and
     * walk-sum in small arrays: their load chains overlap instead of running
     * one walk after another. Each walk still adds up its terms in step
-    * order, and `z = fromS + fromT`, so the sums are bit for bit those of
-    * drawing the samples one at a time.
+    * order, so the sums are bit for bit those of drawing the samples one at
+    * a time.
     */
   def zSums(g: CsrGraph, s: Int, t: Int, len: Int, seed: Long, from: Long, until: Long,
-            sVec: Array[Double], tVec: Array[Double], dsInv: Double, dtInv: Double,
-            out: Array[Double]): Unit = {
+            w: Array[Double], out: Array[Double]): Unit = {
     val n = (until - from).toInt
     val walks = 2 * n // walk j < n from s, walk n + j from t, of sample from + j
     val cur = new Array[Int](walks)
@@ -170,29 +187,22 @@ object Walks {
     val offsets = g.offsets; val neighbors = g.neighbors
     var i = 0
     while (i < len) {
-      var half = 0 // the walks from s, then the walks from t
-      while (half < 2) {
-        val sCoef = if (half == 0) dsInv else -dsInv
-        val tCoef = if (half == 0) -dtInv else dtInv
-        j = half * n
-        val end = j + n
-        while (j < end) {
-          val u = cur(j)
-          val off = offsets(u)
-          val c = Rng.skip(ctr(j), 1L)
-          val v = neighbors(off + Rng.boundedInt(c, offsets(u + 1) - off))
-          cur(j) = v; ctr(j) = c
-          acc(j) += sVec(v) * sCoef + tVec(v) * tCoef
-          j += 1
-        }
-        half += 1
+      j = 0
+      while (j < walks) {
+        val u = cur(j)
+        val off = offsets(u)
+        val c = Rng.skip(ctr(j), 1L)
+        val v = neighbors(off + Rng.boundedInt(c, offsets(u + 1) - off))
+        cur(j) = v; ctr(j) = c
+        acc(j) += w(v)
+        j += 1
       }
       i += 1
     }
     var sum = out(0); var sumSq = out(1)
     j = 0
     while (j < n) {
-      val z = acc(j) + acc(n + j)
+      val z = acc(j) - acc(n + j)
       sum += z; sumSq += z * z
       j += 1
     }

@@ -67,4 +67,12 @@ class HaySpec extends AnyFunSuite {
     val r = hay.query(2, 3, 0.1)
     assert(r.estimate == 1.0)
   }
+
+  test("HAY rejects node ids outside [0, n) and delta outside (0, 1)") {
+    val f = TestGraphs.toy
+    val eng = new WalkEngine(f.g)
+    val hay = new HayEstimator(f.g, 0.01, eng, seed = 1)
+    InputChecks.rejectsIds(f.g.n)(hay.query(_, _, 0.5))
+    InputChecks.rejectsDelta(new HayEstimator(f.g, _, eng, seed = 1))
+  }
 }

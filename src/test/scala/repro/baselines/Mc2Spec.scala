@@ -49,4 +49,12 @@ class Mc2Spec extends AnyFunSuite {
       assert(r.estimate >= 0.0 && r.estimate <= 1.0)
     }
   }
+
+  test("MC2 rejects node ids outside [0, n) and delta outside (0, 1)") {
+    val f = TestGraphs.toy
+    val eng = new WalkEngine(f.g)
+    val mc2 = new Mc2Estimator(f.g, 0.01, eng, seed = 1)
+    InputChecks.rejectsIds(f.g.n)(mc2.query(_, _, 0.5))
+    InputChecks.rejectsDelta(new Mc2Estimator(f.g, _, eng, seed = 1))
+  }
 }

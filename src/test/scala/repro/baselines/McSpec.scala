@@ -44,4 +44,12 @@ class McSpec extends AnyFunSuite {
     val r = mc.query(0, 12, 0.1)
     assert(math.abs(r.estimate - 2.0 / 25) <= 0.1)
   }
+
+  test("MC rejects node ids outside [0, n) and delta outside (0, 1)") {
+    val f = TestGraphs.toy
+    val eng = new WalkEngine(f.g)
+    val mc = new McEstimator(f.g, 0.01, eng, seed = 1)
+    InputChecks.rejectsIds(f.g.n)(mc.query(_, _, 0.5))
+    InputChecks.rejectsDelta(new McEstimator(f.g, _, eng, seed = 1))
+  }
 }

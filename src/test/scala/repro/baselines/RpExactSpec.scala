@@ -68,4 +68,14 @@ class RpExactSpec extends AnyFunSuite {
     val q = rp.query(0, 4, 0.5)
     assert(q.nanos < rp.preprocessNanos)
   }
+
+  test("EXACT rejects node ids outside [0, n)") {
+    val ex = new ExactEstimator(TestGraphs.toy.g)
+    InputChecks.rejectsIds(TestGraphs.toy.g.n)(ex.query(_, _, 0.5))
+  }
+
+  test("RP rejects node ids outside [0, n)") {
+    val rp = new RpEstimator(TestGraphs.toy.g, eps0 = 0.5, seed = 1, kCap = 16)
+    InputChecks.rejectsIds(TestGraphs.toy.g.n)(rp.query(_, _, 0.5))
+  }
 }

@@ -59,4 +59,12 @@ class TpSpec extends AnyFunSuite {
     val tp = new TpEstimator(f.g, f.lambda, 0.01, eng, seed = 1, scale = 0.001)
     assert(tp.query(2, 2, 0.5).estimate == 0.0)
   }
+
+  test("TP rejects node ids outside [0, n) and delta outside (0, 1)") {
+    val f = TestGraphs.toy
+    val eng = new WalkEngine(f.g)
+    val tp = new TpEstimator(f.g, f.lambda, 0.01, eng, seed = 1, scale = 0.001)
+    InputChecks.rejectsIds(f.g.n)(tp.query(_, _, 0.5))
+    InputChecks.rejectsDelta(new TpEstimator(f.g, f.lambda, _, eng, seed = 1))
+  }
 }

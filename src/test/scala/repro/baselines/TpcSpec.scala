@@ -47,4 +47,11 @@ class TpcSpec extends AnyFunSuite {
     assert(tpc.query(3, 3, 0.5).estimate == 0.0)
     assert(tpc.query(0, 1, 0.5).walks > 0)
   }
+
+  test("TPC rejects node ids outside [0, n) and delta outside (0, 1)") {
+    val f = TestGraphs.toy
+    val tpc = new TpcEstimator(f.g, f.lambda, 0.01, seed = 2, scale = 1e-5)
+    InputChecks.rejectsIds(f.g.n)(tpc.query(_, _, 0.5))
+    InputChecks.rejectsDelta(new TpcEstimator(f.g, f.lambda, _, seed = 2))
+  }
 }

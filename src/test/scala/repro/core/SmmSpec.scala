@@ -2,9 +2,10 @@ package repro.core
 
 import org.scalatest.funsuite.AnyFunSuite
 import repro.TestGraphs
-import repro.graph.GraphGen
+import repro.graph.{CsrGraph, GraphGen}
 
 class SmmSpec extends AnyFunSuite {
+  import SmmSpec.multiply
 
   test("State initial value is the i=0 term") {
     val g = GraphGen.toyFig2
@@ -111,5 +112,83 @@ class SmmSpec extends AnyFunSuite {
     val errs = Seq(2, 6, 12, 24).map(l => math.abs(exact - Smm.run(f.g, s, t, l)))
     assert(errs.zip(errs.tail).forall { case (a, b) => b <= a + 1e-12 },
       s"residuals not decreasing: $errs")
+  }
+
+  test("State is bit-identical to the allocate-and-copy multiply, zero off the support, with psi from the supports") {
+    def bits(x: Double): Long = java.lang.Double.doubleToLongBits(x)
+    val graphs = Seq(TestGraphs.toy.g, TestGraphs.complete10.g, TestGraphs.cycle9.g, TestGraphs.ba300.g,
+      TestGraphs.whiskered(200, 3, whiskers = 4, pendants = 6, seed = 12))
+    for {
+      g <- graphs
+      (s, t) <- TestGraphs.pairs(g, 3) :+ ((0, g.neighbor(0, 0)))
+    } {
+      val st = new Smm.State(g, s, t)
+      val ds = g.degree(s); val dt = g.degree(t)
+      val dsInv = 1.0 / ds; val dtInv = 1.0 / dt
+      val sStar = new Array[Double](g.n); sStar(s) = 1.0
+      val tStar = new Array[Double](g.n); tStar(t) = 1.0
+      var sFront = Array(s); var tFront = Array(t)
+      def term = sStar(s) * dsInv + tStar(t) * dtInv - sStar(t) * dsInv - tStar(s) * dtInv
+      var rB = term
+      (0 to 12).foreach { i =>
+        if (i > 0) {
+          st.advance()
+          sFront = multiply(g, sStar, sFront); tFront = multiply(g, tStar, tFront)
+          rB += term
+        }
+        val at = s"n=${g.n} ($s,$t) after $i advances"
+        assert(st.sStar.map(bits).toSeq == sStar.map(bits).toSeq, at)
+        assert(st.tStar.map(bits).toSeq == tStar.map(bits).toSeq, at)
+        assert(bits(st.rB) == bits(rB), at)
+        assert(st.frontierCost == (sFront ++ tFront).map(g.degree(_).toLong).sum, at)
+        (0 until g.n).foreach { v =>
+          if (!sFront.contains(v)) assert(bits(st.sStar(v)) == bits(0.0), s"$at: s*($v)")
+          if (!tFront.contains(v)) assert(bits(st.tStar(v)) == bits(0.0), s"$at: t*($v)")
+        }
+        Seq(1, 2, 7).foreach { ellF =>
+          assert(bits(st.psi(ellF)) == bits(Amc.psi(st.sStar, st.tStar, ds, dt, ellF)), s"$at: ellF=$ellF")
+        }
+      }
+    }
+  }
+}
+
+object SmmSpec {
+
+  /** Sparse `x ← P x` by allocate-and-copy, the multiply before
+    * `Smm.State` kept its state sized to the frontier: every neighbour `v`
+    * of a support node `u` gains `x(u)` in a fresh zero array, touched
+    * entries are scaled by `1/d(v)`, and the array is copied over `x`.
+    * Returns the new support in first-touch order. The oracle for
+    * `Smm.State`.
+    */
+  def multiply(g: CsrGraph, x: Array[Double], front: Array[Int]): Array[Int] = {
+    val n = g.n
+    val y = new Array[Double](n)
+    val touched = new java.util.ArrayList[Int](front.length * 4)
+    val seen = new Array[Boolean](n)
+    var i = 0
+    while (i < front.length) {
+      val u = front(i)
+      val xu = x(u)
+      var j = g.offsets(u)
+      while (j < g.offsets(u + 1)) {
+        val v = g.neighbors(j)
+        if (!seen(v)) { seen(v) = true; touched.add(v) }
+        y(v) += xu
+        j += 1
+      }
+      i += 1
+    }
+    val newFront = new Array[Int](touched.size())
+    var k = 0
+    while (k < touched.size()) {
+      val v = touched.get(k)
+      y(v) /= g.degree(v)
+      newFront(k) = v
+      k += 1
+    }
+    System.arraycopy(y, 0, x, 0, n)
+    newFront
   }
 }

@@ -195,7 +195,7 @@ class WalksSpec extends AnyFunSuite {
                               sVec: Array[Double], tVec: Array[Double]): (Seq[Long], Seq[Long]) = {
     val dsInv = 1.0 / g.degree(s); val dtInv = 1.0 / g.degree(t)
     val out = new Array[Double](2)
-    Walks.zSums(g, s, t, len, seed, from, from + count, sVec, tVec, dsInv, dtInv, out)
+    Walks.zSums(g, s, t, len, seed, from, from + count, Walks.scores(g, s, t, sVec, tVec), out)
     var sum = 0.0; var sumSq = 0.0
     (from until from + count).foreach { k =>
       val z = zSample(g, s, t, len, Rng(seed, k), sVec, tVec, dsInv, dtInv)
@@ -216,16 +216,26 @@ class WalksSpec extends AnyFunSuite {
   test("lockstep zSums are bit-identical to per-sample Eq. (11) sums") {
     val g = TestGraphs.ba300.g
     val (s, t) = TestGraphs.pairs(g, 1).head
-    for {
+    val smmCases = for {
       (a, b) <- Seq((s, t), (0, g.neighbor(0, 0))) // a far pair and an adjacent one
       iters <- Seq(0, 3) // one-hot vectors, then dense ones
-      (sVec, tVec) = smmVectors(g, a, b, iters)
+    } yield { val (sVec, tVec) = smmVectors(g, a, b, iters); (s"iters=$iters", g, a, b, sVec, tVec) }
+    // Zero scores: one-hot vectors off {s, t}, and on the regular K_10 equal
+    // entries of s and t, which cancel.
+    val (_, _, _, _, oneHotS, oneHotT) = smmCases.head
+    assert(Walks.scores(g, s, t, oneHotS, oneHotT).count(_ == 0.0) == g.n - 2)
+    val k10 = TestGraphs.complete10.g
+    val (x, _) = smmVectors(k10, 0, 1, 2)
+    val equal = x.clone(); equal(5) = 0.0
+    assert(Walks.scores(k10, 0, 1, x, equal).count(_ == 0.0) == k10.n - 1)
+    for {
+      (label, gr, a, b, sVec, tVec) <- smmCases :+ (("K_10 cancelling", k10, 0, 1, x, equal))
       len <- Seq(1, 2, 9)
       count <- Seq(0, 1, 15, 16, 17, 55)
       from <- Seq(0L, 37L)
     } {
-      val (kernel, oracle) = kernelAndOracle(g, a, b, len, seed = 101 + len, from, count, sVec, tVec)
-      assert(kernel == oracle, s"($a,$b) iters=$iters len=$len count=$count from=$from")
+      val (kernel, oracle) = kernelAndOracle(gr, a, b, len, seed = 101 + len, from, count, sVec, tVec)
+      assert(kernel == oracle, s"$label ($a,$b) len=$len count=$count from=$from")
     }
   }
 
@@ -234,6 +244,7 @@ class WalksSpec extends AnyFunSuite {
     val (s, t) = TestGraphs.pairs(g, 1).head
     val (sVec, tVec) = smmVectors(g, s, t, 2)
     val dsInv = 1.0 / g.degree(s); val dtInv = 1.0 / g.degree(t)
+    val w = Walks.scores(g, s, t, sVec, tVec)
     val len = 6
     val eng = new WalkEngine(g)
     val perSample = WalkEngine.InlineSteps / (2L * len)
@@ -241,7 +252,7 @@ class WalksSpec extends AnyFunSuite {
       val seed = 29 + count
       def run(threads: Int): Seq[Long] = inPool(threads) {
         eng.sumChunks(count, 2, 2L * len) { (from, until, acc) =>
-          Walks.zSums(g, s, t, len, seed, from, until, sVec, tVec, dsInv, dtInv, acc)
+          Walks.zSums(g, s, t, len, seed, from, until, w, acc)
         }.toSeq.map(bits)
       }
       def z(k: Long): Double = zSample(g, s, t, len, Rng(seed, k), sVec, tVec, dsInv, dtInv)
