@@ -14,16 +14,15 @@ import repro.util.Rng
   * containing the edge. The tree count `N = ln(2/δ)/(2ε²)` comes from
   * Hoeffding on the 0/1 indicator.
   */
-final class HayEstimator(g: CsrGraph, delta: Double, engine: WalkEngine, seed: Long,
-                         scale: Double = 1.0) extends PerEstimator {
+final class HayEstimator(g: CsrGraph, delta: Double, engine: WalkEngine, seed: Long)
+    extends PerEstimator {
   val name = "HAY"
   Amc.requireDelta(delta)
 
   def query(s: Int, t: Int, eps: Double): PerResult = timed {
     Amc.requireNodes(g, s, t)
     require(g.hasEdge(s, t), s"HAY answers edge queries only; ($s,$t) is not an edge")
-    val nTrees = math.max(50L,
-      math.ceil(scale * math.log(2.0 / delta) / (2.0 * eps * eps)).toLong)
+    val nTrees = math.max(50L, math.ceil(math.log(2.0 / delta) / (2.0 * eps * eps)).toLong)
     // Wilson's expected cost is the mean hitting time — O(m·n) worst case,
     // usually far less; use m as the per-sample cost hint.
     val (hits, _) = engine.sumAndSumSq(nTrees, Rng.derive(seed, 0x57AAL), g.m) { (graph, rng) =>

@@ -13,14 +13,13 @@ import repro.util.Rng
   * `r'(s,t) = η / (d(s) η_r)` — the formula in §2.3.1. The sample count
   * `η = 3 γ d(s) ln(1/δ)/ε²` assumes a bound `r(s,t) ≤ γ`; the paper
   * leaves γ's choice open (worst case `n³/2m`), so we default to γ = 1
-  * and record it. Excursions are capped at `maxSteps` (capped excursions
-  * count as non-visits; the cap is far beyond the mean excursion length
-  * `2m/d(s)` so its effect is negligible and it mirrors the paper's
-  * one-day cutoff in spirit).
+  * and record it. Excursions are capped at `maxSteps`, 50× the mean
+  * excursion length `2m/d(s)` (capped excursions count as non-visits; the
+  * cap's effect is negligible and it mirrors the paper's one-day cutoff
+  * in spirit).
   */
 final class McEstimator(g: CsrGraph, delta: Double, engine: WalkEngine, seed: Long,
-                        gamma: Double = 1.0, scale: Double = 1.0,
-                        maxStepsFactor: Double = 50.0) extends PerEstimator {
+                        gamma: Double = 1.0) extends PerEstimator {
   val name = "MC"
   Amc.requireDelta(delta)
 
@@ -30,9 +29,9 @@ final class McEstimator(g: CsrGraph, delta: Double, engine: WalkEngine, seed: Lo
     else {
       val ds = g.degree(s)
       val etaFaithful = 3.0 * gamma * ds * math.log(1.0 / delta) / (eps * eps)
-      val eta = math.max(100L, math.ceil(etaFaithful * scale).toLong)
+      val eta = math.max(100L, math.ceil(etaFaithful).toLong)
       // Mean excursion length is 2m/d(s); cap generously above it.
-      val maxSteps = math.max(1000L, (maxStepsFactor * 2.0 * g.m / ds).toLong)
+      val maxSteps = math.max(1000L, (50.0 * 2.0 * g.m / ds).toLong)
       val meanLen = 2L * g.m / ds
       val (visits, _) = engine.sumAndSumSq(eta, Rng.derive(seed, 0x4C4DL), meanLen) { (graph, rng) =>
         var cur = Walks.step(graph, s, rng)

@@ -14,12 +14,11 @@ import repro.util.Rng
   * between `s` and `t` is at most the capacity of the cut isolating
   * either endpoint), which is valid on every graph — tighter than the
   * generic `1/(2m)` that the paper notes gives `6m ln(1/δ)/ε²` walks.
-  * Walks are capped at `maxSteps` (mean hitting time of an adjacent node
-  * is < 2m); capped walks count as "arrived some other way".
+  * Walks are capped at `maxSteps`, 50 × 2m (mean hitting time of an
+  * adjacent node is < 2m); capped walks count as "arrived some other way".
   */
 final class Mc2Estimator(g: CsrGraph, delta: Double, engine: WalkEngine, seed: Long,
-                         scale: Double = 1.0, maxStepsFactor: Double = 50.0)
-    extends PerEstimator {
+                         scale: Double = 1.0) extends PerEstimator {
   val name = "MC2"
   Amc.requireDelta(delta)
 
@@ -29,7 +28,7 @@ final class Mc2Estimator(g: CsrGraph, delta: Double, engine: WalkEngine, seed: L
     val gamma = 1.0 / math.min(g.degree(s), g.degree(t))
     val etaFaithful = 3.0 * math.log(1.0 / delta) / (eps * eps * gamma)
     val eta = math.max(100L, math.ceil(etaFaithful * scale).toLong)
-    val maxSteps = math.max(1000L, (maxStepsFactor * 2.0 * g.m).toLong)
+    val maxSteps = math.max(1000L, (50.0 * 2.0 * g.m).toLong)
     val (hits, _) = engine.sumAndSumSq(eta, Rng.derive(seed, 0x4D32L), 2L * g.m) { (graph, rng) =>
       var prev = s
       var cur = Walks.step(graph, s, rng)

@@ -22,6 +22,8 @@ import repro.util.Rng
 final class RpEstimator(g: CsrGraph, eps0: Double, seed: Long, kCap: Int = 2000)
     extends PerEstimator {
   val name = "RP"
+  require(eps0 > 0.0, s"eps0 = $eps0 must be positive")
+  require(kCap >= 1, s"kCap = $kCap must be at least 1")
 
   val kRequested: Int = math.ceil(24.0 * math.log(g.n.toDouble) / (eps0 * eps0)).toInt
   val k: Int = math.min(kRequested, kCap)

@@ -93,6 +93,7 @@ final class SmmEstimator(g: CsrGraph, lambda: Double,
                          usePengEll: Boolean = false) extends PerEstimator {
   val name = if (usePengEll) "SMM(peng-ell)" else "SMM"
   def query(s: Int, t: Int, eps: Double): PerResult = timed {
+    Amc.requireNodes(g, s, t)
     if (s == t) PerResult(0.0)
     else {
       val ell =

@@ -116,6 +116,7 @@ object Smm {
 
   /** Full SMM run (Algorithm 2): `ℓ_b` iterations, returns `r_b(s,t)`. */
   def run(g: CsrGraph, s: Int, t: Int, ellB: Int): Double = {
+    Amc.requireNodes(g, s, t)
     if (s == t) return 0.0
     val st = new State(g, s, t)
     var i = 0
@@ -125,12 +126,12 @@ object Smm {
 
   /** Ground-truth ER as the paper's §5.1 computes it: SMM with a large
     * iteration count (default 1000 ⇒ truncation error ~1e-8..1e-6).
-    * Stops early once the per-iteration increment has been below `tol`
+    * Stops early once the per-iteration increment has been below 1e-12
     * for three consecutive iterations (increments decay geometrically
-    * with λ, so a sustained sub-tol run means the tail is negligible).
+    * with λ, so a sustained sub-1e-12 run means the tail is negligible).
     */
-  def groundTruth(g: CsrGraph, s: Int, t: Int, iters: Int = 1000,
-                  tol: Double = 1e-12): Double = {
+  def groundTruth(g: CsrGraph, s: Int, t: Int, iters: Int = 1000): Double = {
+    Amc.requireNodes(g, s, t)
     if (s == t) return 0.0
     val st = new State(g, s, t)
     var below = 0
@@ -138,7 +139,7 @@ object Smm {
     while (i < iters && below < 3) {
       val before = st.rB
       st.advance()
-      if (math.abs(st.rB - before) < tol) below += 1 else below = 0
+      if (math.abs(st.rB - before) < 1e-12) below += 1 else below = 0
       i += 1
     }
     st.rB

@@ -71,11 +71,12 @@ object GraphGen {
 
   // --------------------------------------------------------------- random
 
-  /** Erdős–Rényi `G(n, p)`; retries edges until connected via augmenting a
-    * random spanning path (deterministic in seed). Non-bipartite is not
-    * guaranteed — call `.requireErgodic()` if needed or use `ensureErgodic`.
+  /** Erdős–Rényi `G(n, p)` on `n ≥ 3` nodes, kept connected by a random
+    * spanning path and made non-bipartite by `ensureErgodic`
+    * (deterministic in seed).
     */
   def erdosRenyi(n: Int, p: Double, seed: Long = 7): CsrGraph = {
+    require(n >= 3, s"n = $n: an ergodic graph needs at least 3 nodes")
     val rng = Rng(seed)
     val edges = Seq.newBuilder[(Int, Int)]
     var u = 0
@@ -97,9 +98,11 @@ object GraphGen {
   /** Barabási–Albert preferential attachment: each new node attaches to
     * `mAttach` existing nodes chosen proportionally to degree (repeat
     * draws collapse — realized degree may be slightly lower). Produces a
-    * connected, heavy-tailed graph with average degree ≈ `2·mAttach`.
+    * connected, heavy-tailed graph on `n ≥ 3` nodes with average degree
+    * ≈ `2·mAttach`.
     */
   def barabasiAlbert(n: Int, mAttach: Int, seed: Long = 11): CsrGraph = {
+    require(n >= 3, s"n = $n: an ergodic graph needs at least 3 nodes")
     require(n > mAttach && mAttach >= 1)
     val rng = Rng(seed)
     val edges = Seq.newBuilder[(Int, Int)]
@@ -126,31 +129,19 @@ object GraphGen {
     ensureErgodic(CsrGraph.fromEdges(n, edges.result()))
   }
 
-  /** Adds a triangle on nodes with an existing edge if the graph came out
-    * bipartite, and a spanning spine if disconnected (never triggered for
-    * BA). Keeps determinism; used by random generators only.
+  /** Closes a triangle over the first path `u - v - w` found if the graph
+    * came out bipartite. The random generators call it on connected graphs
+    * with `n ≥ 3`, where `u` or `v` has a second neighbour, which lies on
+    * the other's side and so is not adjacent to it. Keeps determinism.
     */
-  private def ensureErgodic(g: CsrGraph): CsrGraph = {
-    var cur = g
-    if (!cur.isConnected) {
-      val extra = (0 until cur.n - 1).map(i => (i, i + 1))
-      cur = CsrGraph.fromEdges(cur.n, (cur.undirectedEdges ++ extra.iterator).toSeq)
+  private def ensureErgodic(g: CsrGraph): CsrGraph =
+    if (!g.isBipartite) g
+    else {
+      val (u, v) = g.undirectedEdges.next()
+      val e = g.neighborsOf(v).find(_ != u).map(w => (u, w))
+        .getOrElse((v, g.neighborsOf(u).find(_ != v).get))
+      CsrGraph.fromEdges(g.n, (g.undirectedEdges ++ Iterator(e)).toSeq)
     }
-    if (cur.isBipartite) {
-      // Close a triangle over the first path u - v - w found.
-      val (u, v) = cur.undirectedEdges.next()
-      val w = cur.neighborsOf(v).find(x => x != u && !cur.hasEdge(u, x))
-        .orElse(cur.neighborsOf(u).find(x => x != v && !cur.hasEdge(v, x)))
-      w match {
-        case Some(x) =>
-          val e = if (cur.neighborsOf(v).contains(x)) (u, x) else (v, x)
-          cur = CsrGraph.fromEdges(cur.n, (cur.undirectedEdges ++ Iterator(e)).toSeq)
-        case None => // complete graph on both sides; K_{a,b} with a,b>1 + any chord
-          cur = CsrGraph.fromEdges(cur.n, (cur.undirectedEdges ++ Iterator((0, 1))).toSeq)
-      }
-    }
-    cur
-  }
 
   private def shuffled(n: Int, rng: Rng): Array[Int] = {
     val a = Array.tabulate(n)(identity)

@@ -105,14 +105,13 @@ object Dense {
     * iterations than plain CG. The iterations allocate nothing.
     *
     * Stops when the true residual meets `‖b − L x‖ ≤ tol·‖b‖` (for the
-    * projected `b`), or after `maxIter` iterations. The recurrence residual
+    * projected `b`), or after 10000 iterations. The recurrence residual
     * is tested each iteration; once it passes, `b − L x` is computed, and if
     * that misses the bound, the recurrence restarts from it.
     *
     * @return x with `Σ x(i) = 0`
     */
-  def cgLaplacian(g: CsrGraph, b: Array[Double],
-                  tol: Double = 1e-10, maxIter: Int = 10000): Array[Double] = {
+  def cgLaplacian(g: CsrGraph, b: Array[Double], tol: Double = 1e-10): Array[Double] = {
     val n = g.n
     val offsets = g.offsets
     val nbrs = g.neighbors
@@ -158,7 +157,7 @@ object Dense {
     var rNorm = norm(r)
     var it = 0
     var done = false
-    while (!done && it < maxIter) {
+    while (!done && it < 10000) {
       if (rNorm <= bound) {
         lapMul(x, ap)
         var i = 0

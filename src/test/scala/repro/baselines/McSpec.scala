@@ -9,7 +9,7 @@ class McSpec extends AnyFunSuite {
   test("MC (escape probability form) is eps-accurate on small graphs") {
     Seq(TestGraphs.toy, TestGraphs.complete10, TestGraphs.cycle9).foreach { f =>
       val eng = new WalkEngine(f.g)
-      val mc = new McEstimator(f.g, 0.01, eng, seed = 1, gamma = 2.0, scale = 1.0)
+      val mc = new McEstimator(f.g, 0.01, eng, seed = 1, gamma = 2.0)
       TestGraphs.pairs(f.g, 3).foreach { case (s, t) =>
         val r = mc.query(s, t, 0.3)
         assert(math.abs(r.estimate - f.exactEr(s, t)) <= 0.3,

@@ -78,4 +78,16 @@ class RpExactSpec extends AnyFunSuite {
     val rp = new RpEstimator(TestGraphs.toy.g, eps0 = 0.5, seed = 1, kCap = 16)
     InputChecks.rejectsIds(TestGraphs.toy.g.n)(rp.query(_, _, 0.5))
   }
+
+  test("RP rejects eps0 that is not positive and kCap below 1") {
+    val g = TestGraphs.toy.g
+    Seq(0.0, -0.5, Double.NaN).foreach { eps0 =>
+      val e = intercept[IllegalArgumentException](new RpEstimator(g, eps0, seed = 1, kCap = 16))
+      assert(e.getMessage.contains("eps0"), s"eps0=$eps0: ${e.getMessage}")
+    }
+    Seq(0, -1, Int.MinValue).foreach { kCap =>
+      val e = intercept[IllegalArgumentException](new RpEstimator(g, 0.5, seed = 1, kCap = kCap))
+      assert(e.getMessage.contains("kCap"), s"kCap=$kCap: ${e.getMessage}")
+    }
+  }
 }

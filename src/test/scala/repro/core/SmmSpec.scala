@@ -2,6 +2,7 @@ package repro.core
 
 import org.scalatest.funsuite.AnyFunSuite
 import repro.TestGraphs
+import repro.baselines.InputChecks
 import repro.graph.{CsrGraph, GraphGen}
 
 class SmmSpec extends AnyFunSuite {
@@ -103,6 +104,14 @@ class SmmSpec extends AnyFunSuite {
 
   test("s = t returns 0") {
     assert(Smm.run(GraphGen.toyFig2, 4, 4, 10) == 0.0)
+  }
+
+  test("run, groundTruth and SmmEstimator reject node ids outside [0, n)") {
+    val f = TestGraphs.cycle9
+    val est = new SmmEstimator(f.g, f.lambda)
+    InputChecks.rejectsIds(f.g.n)(Smm.run(f.g, _, _, 5))
+    InputChecks.rejectsIds(f.g.n)(Smm.groundTruth(f.g, _, _))
+    InputChecks.rejectsIds(f.g.n)(est.query(_, _, 0.1))
   }
 
   test("truncation residual shrinks as ell_b grows") {

@@ -90,6 +90,19 @@ class GraphGenSpec extends AnyFunSuite {
     assert(g.isConnected && !g.isBipartite)
   }
 
+  test("random generators reject n < 3 and are ergodic from n = 3") {
+    Seq(() => GraphGen.barabasiAlbert(2, 1), () => GraphGen.erdosRenyi(2, 0.5),
+        () => GraphGen.erdosRenyi(1, 0.5)).foreach { make =>
+      val e = intercept[IllegalArgumentException](make())
+      assert(e.getMessage.contains("at least 3 nodes"), e.getMessage)
+    }
+    (1L to 4L).foreach { s =>
+      Seq(GraphGen.barabasiAlbert(3, 1, s), GraphGen.erdosRenyi(3, 0.0, s)).foreach { g =>
+        assert(g.isConnected && !g.isBipartite && g.m == 3, s"seed $s")
+      }
+    }
+  }
+
   test("all dataset analogs are ergodic with the intended average degree") {
     GraphGen.analogs.foreach { case (name, (n, mA)) =>
       val g = analogGraphs(name)
